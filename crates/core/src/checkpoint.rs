@@ -32,14 +32,8 @@ pub type CheckpointKey = (TaskKey, LevelStamp);
 /// A retained task packet plus bookkeeping.
 #[derive(Clone, Debug)]
 pub struct StoredCheckpoint {
-    /// The checkpointed child's stamp (always retained — it is the entry's
-    /// key and recovery's routing handle, whatever the persistence tier).
-    pub stamp: LevelStamp,
     /// The retained packet — everything needed to regenerate the child.
-    /// `None` under `PersistenceTier::Placement`, where only the placement
-    /// record survives and the reissue packet is rebuilt from the live
-    /// owner task.
-    pub packet: Option<TaskPacket>,
+    pub packet: TaskPacket,
     /// Incremental re-checkpoint entries (`MultiCheckpoint` policy):
     /// completed grandchild results the checkpointed child reported back.
     /// A reissued twin is handed these as preloads so it replays fewer
@@ -52,14 +46,10 @@ pub struct StoredCheckpoint {
 }
 
 impl StoredCheckpoint {
-    /// Abstract retained bytes: the packet (or the bare placement record)
-    /// plus any preloaded result values.
+    /// Abstract retained bytes: the packet plus any preloaded result
+    /// values.
     fn size(&self) -> usize {
-        let base = match &self.packet {
-            Some(p) => p.size(),
-            None => 2 + self.stamp.level(),
-        };
-        base + self.preloads.iter().map(|(_, v)| v.size()).sum::<usize>()
+        self.packet.size() + self.preloads.iter().map(|(_, v)| v.size()).sum::<usize>()
     }
 }
 
@@ -87,24 +77,11 @@ impl CheckpointTable {
         CheckpointTable::default()
     }
 
-    /// Stores the retained packet for a freshly spawned child (the
-    /// `PersistenceTier::Full` functional checkpoint). The entry is
+    /// Stores the retained packet for a freshly spawned child. The entry is
     /// "pending" (no destination) until [`CheckpointTable::on_ack`].
     pub fn store(&mut self, owner: TaskKey, packet: TaskPacket) {
         let stamp = packet.stamp.clone();
-        self.store_entry(owner, stamp, Some(packet));
-    }
-
-    /// Stores a bare placement record (the `PersistenceTier::Placement`
-    /// checkpoint): the stamp survives a crash but the reissue packet must
-    /// be rebuilt from the live owner task.
-    pub fn store_placement(&mut self, owner: TaskKey, stamp: LevelStamp) {
-        self.store_entry(owner, stamp, None);
-    }
-
-    fn store_entry(&mut self, owner: TaskKey, stamp: LevelStamp, packet: Option<TaskPacket>) {
         let cp = StoredCheckpoint {
-            stamp: stamp.clone(),
             packet,
             preloads: Vec::new(),
             owner,
@@ -184,9 +161,7 @@ impl CheckpointTable {
         let Some(cp) = self.entry_mut(owner, stamp) else {
             return;
         };
-        if let Some(p) = cp.packet.as_mut() {
-            p.incarnation += 1;
-        }
+        cp.packet.incarnation += 1;
         if let Some(old) = cp.dest.take() {
             self.by_dest
                 .get_mut(&old)
@@ -261,14 +236,19 @@ impl CheckpointTable {
             .filter_map(|(owner, stamp)| self.entries.get(owner)?.get(stamp))
             .collect();
         // Deterministic order regardless of hash iteration.
-        cps.sort_by(|a, b| a.stamp.cmp(&b.stamp).then(a.owner.cmp(&b.owner)));
+        cps.sort_by(|a, b| {
+            a.packet
+                .stamp
+                .cmp(&b.packet.stamp)
+                .then(a.owner.cmp(&b.owner))
+        });
         match filter {
             CheckpointFilter::All => cps.into_iter().cloned().collect(),
             CheckpointFilter::Topmost => {
-                let top = LevelStamp::topmost(cps.iter().map(|c| c.stamp.clone()));
+                let top = LevelStamp::topmost(cps.iter().map(|c| c.packet.stamp.clone()));
                 let top: HashSet<LevelStamp> = top.into_iter().collect();
                 cps.into_iter()
-                    .filter(|c| top.contains(&c.stamp))
+                    .filter(|c| top.contains(&c.packet.stamp))
                     .cloned()
                     .collect()
             }
@@ -376,7 +356,7 @@ mod tests {
         t.on_ack(c2, &b3, B);
         t.on_ack(c4, &b5, B);
         let top = t.recover_candidates(B, CheckpointFilter::Topmost);
-        let stamps: Vec<&LevelStamp> = top.iter().map(|c| &c.stamp).collect();
+        let stamps: Vec<&LevelStamp> = top.iter().map(|c| &c.packet.stamp).collect();
         assert_eq!(stamps, vec![&b2, &b3]);
         // The ablation reissues all three (B5 fruitlessly).
         assert_eq!(t.recover_candidates(B, CheckpointFilter::All).len(), 3);
@@ -397,7 +377,7 @@ mod tests {
         t.retire(TaskKey(1), &b2);
         let top = t.recover_candidates(B, CheckpointFilter::Topmost);
         assert_eq!(top.len(), 1);
-        assert_eq!(top[0].stamp, b5);
+        assert_eq!(top[0].packet.stamp, b5);
     }
 
     #[test]
@@ -409,15 +389,7 @@ mod tests {
         // Reissue: pending again.
         t.on_reissue(TaskKey(0), &s);
         assert!(t.recover_candidates(B, CheckpointFilter::All).is_empty());
-        assert_eq!(
-            t.get(TaskKey(0), &s)
-                .unwrap()
-                .packet
-                .as_ref()
-                .unwrap()
-                .incarnation,
-            1
-        );
+        assert_eq!(t.get(TaskKey(0), &s).unwrap().packet.incarnation, 1);
         // Re-acked at a different processor.
         t.on_ack(TaskKey(0), &s, ProcId(3));
         assert!(t.recover_candidates(B, CheckpointFilter::All).is_empty());
@@ -451,28 +423,6 @@ mod tests {
         assert_eq!(t.recover_candidates(B, CheckpointFilter::All).len(), 2);
         assert!(t.retire(TaskKey(1), &s));
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn placement_records_recover_without_a_packet() {
-        // The Placement tier keeps the stamp (routing handle) but not the
-        // frame; it costs fewer bytes and still surfaces as a candidate.
-        let mut t = CheckpointTable::new();
-        let s = LevelStamp::from_digits(&[1, 4]);
-        t.store_placement(TaskKey(3), s.clone());
-        let placement_bytes = t.bytes();
-        t.on_ack(TaskKey(3), &s, B);
-        let cands = t.recover_candidates(B, CheckpointFilter::All);
-        assert_eq!(cands.len(), 1);
-        assert!(cands[0].packet.is_none());
-        assert_eq!(cands[0].stamp, s);
-        // on_reissue on a packet-less entry must not panic.
-        t.on_reissue(TaskKey(3), &s);
-        assert!(t.retire(TaskKey(3), &s));
-        assert_eq!(t.bytes(), 0);
-        let mut full = CheckpointTable::new();
-        full.store(TaskKey(3), pkt(&s.digits()));
-        assert!(placement_bytes < full.bytes(), "placement must be cheaper");
     }
 
     #[test]

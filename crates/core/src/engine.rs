@@ -37,7 +37,7 @@ use crate::packet::{
     AckInfo, CkptPacket, Msg, ReplicaInfo, ResultPacket, SalvagePacket, TaskLink, TaskPacket,
 };
 use crate::place::Placer;
-use crate::policy::{PersistenceTier, PolicyKind, RecoveryPolicy};
+use crate::policy::{PolicyKind, RecoveryPolicy};
 use crate::replicate::{Vote, VoteOutcome};
 use crate::sink::ActionSink;
 use crate::stamp::LevelStamp;
@@ -702,13 +702,7 @@ impl Engine {
             }
             None => {
                 if self.config.mode.checkpoints() {
-                    match self.policy.tier() {
-                        PersistenceTier::Full => self.ckpt.store(owner, packet.clone()),
-                        PersistenceTier::Placement => {
-                            self.ckpt.store_placement(owner, packet.stamp.clone())
-                        }
-                        PersistenceTier::Nothing => {}
-                    }
+                    self.ckpt.store(owner, packet.clone());
                 }
                 let dest = self.placer.place(&packet, &self.known_dead);
                 let task = self.tasks.get_mut(&owner).expect("owner exists");
@@ -969,8 +963,8 @@ impl Engine {
                         continue;
                     }
                     if eager {
-                        self.reissue_child(cp.owner, &cp.stamp, sink);
-                    } else if self.mark_lost(cp.owner, &cp.stamp) {
+                        self.reissue_child(cp.owner, &cp.packet.stamp, sink);
+                    } else if self.mark_lost(cp.owner, &cp.packet.stamp) {
                         lazy_owners.push(cp.owner);
                     }
                 }
@@ -999,22 +993,22 @@ impl Engine {
                         // only when the owner's progress demands it. Orphan
                         // fragments keep computing; their salvages land in
                         // `pending_salvages` and flow to an eventual twin.
-                        if self.mark_lost(cp.owner, &cp.stamp) {
+                        if self.mark_lost(cp.owner, &cp.packet.stamp) {
                             lazy_owners.push(cp.owner);
                         }
                     } else if grace == 0 {
                         self.stats.step_parents_created += 1;
-                        self.reissue_child(cp.owner, &cp.stamp, sink);
+                        self.reissue_child(cp.owner, &cp.packet.stamp, sink);
                     } else {
                         if let Some(ci) = self
                             .tasks
                             .get_mut(&cp.owner)
-                            .and_then(|t| t.children.get_mut(&cp.stamp))
+                            .and_then(|t| t.children.get_mut(&cp.packet.stamp))
                         {
                             ci.twin_pending = true;
                         }
                         sink.push(Action::SetTimer {
-                            timer: Timer::grace_reissue(cp.owner, cp.stamp.clone()),
+                            timer: Timer::grace_reissue(cp.owner, cp.packet.stamp.clone()),
                             delay: grace,
                         });
                     }
@@ -1186,24 +1180,7 @@ impl Engine {
         let Some(cp) = self.ckpt.get(owner, stamp) else {
             return;
         };
-        let mut packet = match &cp.packet {
-            Some(p) => p.clone(),
-            // Placement tier: only the placement record survived; rebuild
-            // the frame from the live owner (same recipe as `spawn_child`).
-            None => TaskPacket {
-                stamp: stamp.clone(),
-                demand: ci.demand.clone(),
-                parent: TaskLink::new(TaskAddr::new(self.id, owner), task.stamp.clone()),
-                ancestors: std::iter::once(task.parent.clone())
-                    .chain(task.ancestors.iter().cloned())
-                    .take(self.config.links_beyond_parent())
-                    .collect(),
-                incarnation: 0,
-                hops: 0,
-                replica: None,
-                under_replica: task.under_replica,
-            },
-        };
+        let mut packet = cp.packet.clone();
         packet.incarnation = incarnation;
         // Hand incremental re-checkpoint entries (MultiCheckpoint) to the
         // twin as parked salvages: they flow out on the twin's placement

@@ -45,7 +45,7 @@ pub use engine::{Action, Engine, Timer};
 pub use ids::{ProcId, TaskAddr, TaskKey};
 pub use packet::{CkptPacket, Msg, MsgKind, ResultPacket, SalvagePacket, TaskLink, TaskPacket};
 pub use place::Placer;
-pub use policy::{PersistenceTier, PolicyKind, PolicySpec, RecoveryPolicy};
+pub use policy::{PolicyKind, PolicySpec, RecoveryPolicy};
 pub use sink::ActionSink;
 pub use stamp::LevelStamp;
 pub use stats::ProcStats;

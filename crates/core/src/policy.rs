@@ -3,30 +3,29 @@
 //!
 //! The paper hard-codes a single strategy — checkpoint the full task frame
 //! at spawn time, reissue eagerly the moment a failure notice arrives. The
-//! [`RecoveryPolicy`] trait extracts the three decisions that strategy
+//! [`RecoveryPolicy`] trait extracts the two decisions that strategy
 //! bundles together, so rivals can be swapped in without touching the
 //! protocol loop:
 //!
-//! 1. **What to persist at spawn** ([`PersistenceTier`]): nothing, a
-//!    placement record only, or the full task frame. This is HEAL's
-//!    persistency-model axis — recovery cost is a function of what a
-//!    crashed processor's successor inherits.
-//! 2. **What to do on death discovery** ([`RecoveryPolicy::eager_on_death`]):
+//! 1. **What to do on death discovery** ([`RecoveryPolicy::eager_on_death`]):
 //!    reissue now (the paper), or mark the subtree *lost* and rebuild it
 //!    only when its result is actually demanded — the weak-recovery scheme
 //!    shown observationally equivalent by Fabbretti et al.
-//! 3. **Whether long-lived tasks re-checkpoint incrementally**
+//! 2. **Whether long-lived tasks re-checkpoint incrementally**
 //!    ([`RecoveryPolicy::recheckpoint_every`]): a parent that streams its
 //!    children's completed results back to its own checkpoint owner lets a
 //!    reissued twin preload those results and replay strictly fewer waves.
 //!
+//! Every policy persists the full task frame at spawn; *what* to persist
+//! (HEAL's persistency-model axis) is the unexplored third decision.
+//!
 //! Three named policies cover the interesting corners:
 //!
-//! | policy              | tier  | on death        | re-checkpoint |
-//! |---------------------|-------|-----------------|---------------|
-//! | [`PolicyKind::Eager`]           | Full  | reissue now     | never |
-//! | [`PolicyKind::Lazy`]            | Full  | mark lost       | never |
-//! | [`PolicyKind::MultiCheckpoint`] | Full  | reissue now     | every k results |
+//! | policy              | on death        | re-checkpoint |
+//! |---------------------|-----------------|---------------|
+//! | [`PolicyKind::Eager`]           | reissue now     | never |
+//! | [`PolicyKind::Lazy`]            | mark lost       | never |
+//! | [`PolicyKind::MultiCheckpoint`] | reissue now     | every k results |
 //!
 //! `Eager` is bit-identical to the pre-refactor engine (pinned by golden
 //! trace checksums in `tests/recovery_policy.rs`); the differential fuzz
@@ -94,44 +93,6 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// What a checkpoint owner persists for each spawned child — and therefore
-/// what a crashed processor's successor inherits at reissue time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum PersistenceTier {
-    /// Persist nothing. A crashed child is unrecoverable and the run stalls;
-    /// exists as the restart-from-scratch ablation baseline.
-    Nothing,
-    /// Persist only the placement record (stamp + demand index). The reissue
-    /// packet is rebuilt from the live owner task, trading checkpoint bytes
-    /// for reconstruction work. Behaviorally identical to `Full` while the
-    /// owner survives.
-    Placement,
-    /// Persist the full task frame — the paper's functional checkpoint.
-    #[default]
-    Full,
-}
-
-impl PersistenceTier {
-    /// Stable wire tag (Init handshake).
-    pub fn tag(self) -> u8 {
-        match self {
-            PersistenceTier::Nothing => 0,
-            PersistenceTier::Placement => 1,
-            PersistenceTier::Full => 2,
-        }
-    }
-
-    /// Inverse of [`PersistenceTier::tag`].
-    pub fn from_tag(tag: u8) -> Option<PersistenceTier> {
-        match tag {
-            0 => Some(PersistenceTier::Nothing),
-            1 => Some(PersistenceTier::Placement),
-            2 => Some(PersistenceTier::Full),
-            _ => None,
-        }
-    }
-}
-
 /// Serializable recipe for a recovery policy: what `Config` carries, what
 /// the Init handshake ships, and what [`PolicySpec::build`] turns into a
 /// live [`RecoveryPolicy`] object.
@@ -139,8 +100,6 @@ impl PersistenceTier {
 pub struct PolicySpec {
     /// Named policy selecting the death-discovery behavior.
     pub kind: PolicyKind,
-    /// Persistence tier for spawn-time checkpoints.
-    pub tier: PersistenceTier,
     /// Re-checkpoint period in completed child results; 0 disables. Only
     /// meaningful (and only defaulted non-zero) for `MultiCheckpoint`.
     pub recheckpoint_every: u32,
@@ -157,7 +116,6 @@ impl PolicySpec {
     pub fn eager() -> PolicySpec {
         PolicySpec {
             kind: PolicyKind::Eager,
-            tier: PersistenceTier::Full,
             recheckpoint_every: 0,
         }
     }
@@ -166,7 +124,6 @@ impl PolicySpec {
     pub fn lazy() -> PolicySpec {
         PolicySpec {
             kind: PolicyKind::Lazy,
-            tier: PersistenceTier::Full,
             recheckpoint_every: 0,
         }
     }
@@ -176,7 +133,6 @@ impl PolicySpec {
     pub fn multi_checkpoint(every: u32) -> PolicySpec {
         PolicySpec {
             kind: PolicyKind::MultiCheckpoint,
-            tier: PersistenceTier::Full,
             recheckpoint_every: every.max(1),
         }
     }
@@ -194,10 +150,9 @@ impl PolicySpec {
     /// Build the live policy object the engine consults.
     pub fn build(self) -> Box<dyn RecoveryPolicy> {
         match self.kind {
-            PolicyKind::Eager => Box::new(Eager { tier: self.tier }),
-            PolicyKind::Lazy => Box::new(Lazy { tier: self.tier }),
+            PolicyKind::Eager => Box::new(Eager),
+            PolicyKind::Lazy => Box::new(Lazy),
             PolicyKind::MultiCheckpoint => Box::new(MultiCheckpoint {
-                tier: self.tier,
                 every: self.recheckpoint_every.max(1),
             }),
         }
@@ -210,11 +165,6 @@ impl PolicySpec {
 pub trait RecoveryPolicy: Send + Sync {
     /// Which named policy this is (for reports and traces).
     fn kind(&self) -> PolicyKind;
-
-    /// What to persist for each spawned child.
-    fn tier(&self) -> PersistenceTier {
-        PersistenceTier::Full
-    }
 
     /// True: reissue a dead child the moment its death is discovered (the
     /// paper). False: mark it lost and rebuild only when demanded.
@@ -230,30 +180,20 @@ pub trait RecoveryPolicy: Send + Sync {
 }
 
 /// The paper's scheme. See [`PolicyKind::Eager`].
-struct Eager {
-    tier: PersistenceTier,
-}
+struct Eager;
 
 impl RecoveryPolicy for Eager {
     fn kind(&self) -> PolicyKind {
         PolicyKind::Eager
     }
-    fn tier(&self) -> PersistenceTier {
-        self.tier
-    }
 }
 
 /// Weak recovery. See [`PolicyKind::Lazy`].
-struct Lazy {
-    tier: PersistenceTier,
-}
+struct Lazy;
 
 impl RecoveryPolicy for Lazy {
     fn kind(&self) -> PolicyKind {
         PolicyKind::Lazy
-    }
-    fn tier(&self) -> PersistenceTier {
-        self.tier
     }
     fn eager_on_death(&self) -> bool {
         false
@@ -263,16 +203,12 @@ impl RecoveryPolicy for Lazy {
 /// Eager plus incremental re-checkpointing. See
 /// [`PolicyKind::MultiCheckpoint`].
 struct MultiCheckpoint {
-    tier: PersistenceTier,
     every: u32,
 }
 
 impl RecoveryPolicy for MultiCheckpoint {
     fn kind(&self) -> PolicyKind {
         PolicyKind::MultiCheckpoint
-    }
-    fn tier(&self) -> PersistenceTier {
-        self.tier
     }
     fn recheckpoint_every(&self) -> u32 {
         self.every
@@ -289,7 +225,6 @@ mod tests {
         assert_eq!(s, PolicySpec::eager());
         let p = s.build();
         assert_eq!(p.kind(), PolicyKind::Eager);
-        assert_eq!(p.tier(), PersistenceTier::Full);
         assert!(p.eager_on_death());
         assert_eq!(p.recheckpoint_every(), 0);
     }
@@ -314,14 +249,6 @@ mod tests {
             assert_eq!(PolicyKind::from_tag(k.tag()), Some(k));
         }
         assert_eq!(PolicyKind::from_tag(9), None);
-        for t in [
-            PersistenceTier::Nothing,
-            PersistenceTier::Placement,
-            PersistenceTier::Full,
-        ] {
-            assert_eq!(PersistenceTier::from_tag(t.tag()), Some(t));
-        }
-        assert_eq!(PersistenceTier::from_tag(9), None);
     }
 
     #[test]

@@ -184,6 +184,11 @@ impl SuperRootDriver {
         self.quorum.failovers()
     }
 
+    /// The recovery policy the run was configured with.
+    pub fn policy(&self) -> PolicySpec {
+        self.policy
+    }
+
     /// True while replica `rank` is live (false for out-of-range ranks).
     pub fn replica_live(&self, rank: u32) -> bool {
         self.quorum.replica_live(rank)
@@ -234,7 +239,6 @@ impl SuperRootDriver {
         if self.policy != PolicySpec::eager() && sub.trace_enabled() {
             sub.trace(splice_simnet::trace::TraceKind::Policy {
                 kind: self.policy.kind.tag(),
-                tier: self.policy.tier.tag(),
                 every: self.policy.recheckpoint_every,
             });
         }

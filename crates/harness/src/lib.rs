@@ -23,14 +23,12 @@
 //! * [`batch`] — [`BatchingSubstrate`], the coalescing-bus decorator:
 //!   buffers same-pump sends and delivers them per `(from, to)` envelope
 //!   after a configurable flush window (experiment E15);
-//! * [`reactor`] — [`ReactorSubstrate`], the cooperative-reactor backend:
-//!   per-engine mailboxes, a ready queue with waker flags, timer and
-//!   delayed-send wheels, and a virtual-or-wall [`ReactorClock`] — so one
-//!   thread pumps thousands of engines with no thread-per-processor limit;
-//! * [`parallel`] — [`ReactorCluster`], the multi-core reactor: one
-//!   [`Pump`] per core, cross-reactor sends over per-pair bounded links,
+//! * [`parallel`] — [`ReactorCluster`], the cooperative reactor: one
+//!   [`Pump`] per core (per-engine mailboxes, a ready queue with waker
+//!   flags, timer and delayed-send wheels — no thread-per-processor
+//!   limit), cross-reactor sends over per-pair bounded links,
 //!   barrier-granular work stealing, driven in virtual-clock rounds by a
-//!   coordinating front-end;
+//!   coordinating front-end; one pump runs inline on the caller's thread;
 //! * [`timer`] — [`TimerWheel`], the earliest-deadline store (engine
 //!   timers by default, any payload — the reactor parks delayed sends on
 //!   it too) used by substrates whose clock is not an event queue;
@@ -51,7 +49,6 @@
 pub mod batch;
 pub mod driver;
 pub mod parallel;
-pub mod reactor;
 pub mod report;
 pub mod shard;
 pub mod substrate;
@@ -61,10 +58,9 @@ pub mod trace;
 pub use batch::{BatchStats, BatchingSubstrate};
 pub use driver::{DriverLoop, SuperRootDriver};
 pub use parallel::{
-    ClusterMap, Migration, Pump, PumpHarvest, PumpSubstrate, ReactorCluster, RoundInput,
+    ClusterMap, Inbound, Migration, Pump, PumpHarvest, PumpSubstrate, ReactorCluster, RoundInput,
     RoundOutput, Transfer,
 };
-pub use reactor::{Inbound, ReactorClock, ReactorSubstrate};
 pub use report::{EngineSnapshot, EngineTotals};
 pub use shard::{ShardMap, ShardRouter, ShardStats};
 pub use substrate::{corrupt_value, death_notice_targets, dispatch, dispatch_iter, Substrate};

@@ -1,11 +1,14 @@
 //! The parallel reactor: one cooperative pump per core.
 //!
-//! [`ReactorCluster`] runs N [`Pump`]s — each a cooperative reactor in the
-//! shape of [`crate::reactor::ReactorSubstrate`], owning a partition of the
-//! engines — on N OS threads. Cross-reactor sends travel over per-pair
-//! bounded channels (the crossbeam shim) as [`Transfer`] envelopes; the
-//! envelope buffers are pooled and recycled between peers, so steady-state
-//! cross-reactor traffic does not allocate per send.
+//! [`ReactorCluster`] runs N [`Pump`]s on N OS threads, each a cooperative
+//! reactor over its partition of the engines ([`PumpSubstrate`]: per-engine
+//! mailboxes, a ready queue with waker flags, [`TimerWheel`]s for engine
+//! timers and delayed sends) — so the engine count is bounded by memory,
+//! not by the OS. A single pump runs inline on the caller's thread: that
+//! configuration *is* the single-thread reactor. Cross-reactor sends travel
+//! over per-pair bounded channels (the crossbeam shim) as [`Transfer`]
+//! envelopes; the envelope buffers are pooled and recycled between peers,
+//! so steady-state cross-reactor traffic does not allocate per send.
 //!
 //! Execution is organised as *rounds* separated by barriers — a BSP-style
 //! virtual-clock barrier protocol. Within a round each pump drains its
@@ -13,10 +16,10 @@
 //! (bounded turns, [`WAVE_BURST`] waves per turn). Between rounds the
 //! coordinator (the front-end driving [`ReactorCluster::round`]) advances
 //! the shared virtual clock by the round's summed wave cost divided by the
-//! live engine count — the same parallel clock charge the single-thread
-//! reactor applies per wave — and applies fault plans, so fault timing and
-//! quiescence detection stay deterministic for a fixed thread count, and
-//! verdict/value parity with the DES holds at any thread count.
+//! live engine count (the emulated machine runs its engines in parallel,
+//! whatever thread serialized them) and applies fault plans, so fault
+//! timing and quiescence detection stay deterministic for a fixed thread
+//! count, and verdict/value parity with the DES holds at any thread count.
 //!
 //! Engines are not pinned to their birth pump: the coordinator may ask a
 //! loaded pump to *donate* ready engines to an idle one
@@ -26,13 +29,11 @@
 //! table is updated at the barrier, and pumps forward mid-flight messages
 //! for engines they no longer host.
 //!
-//! Like the reactor module, this file is sans-simulation: fault plans,
-//! cost models and run reports live in the front-end (`splice-sim`'s
-//! `ParallelReactorMachine`).
+//! This file is sans-simulation: fault plans, cost models and run reports
+//! live in the front-end (`splice-sim`'s `ParallelReactorMachine`).
 
 use crate::batch::{BatchStats, BatchingSubstrate};
 use crate::driver::DriverLoop;
-use crate::reactor::Inbound;
 use crate::shard::{ShardMap, ShardRouter, ShardStats};
 use crate::substrate::{corrupt_value, Substrate};
 use crate::timer::TimerWheel;
@@ -49,9 +50,25 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Ready waves one scheduling turn runs before the engine goes back to the
-/// tail of the ready queue — the same burst the single-thread reactor uses,
-/// so per-engine scheduling granularity matches across the two backends.
+/// tail of the ready queue — long enough to amortize the turn, short enough
+/// that no engine starves the pump.
 pub const WAVE_BURST: usize = 4;
+
+/// One stimulus waiting in an engine's mailbox.
+#[derive(Debug)]
+pub enum Inbound {
+    /// A delivered message.
+    Msg(Msg),
+    /// A best-effort send that failed: the transport knew `dead` was
+    /// unreachable and returned the message to its sender (the simulator's
+    /// bounce, without the bounce delay).
+    Bounce {
+        /// The unreachable destination.
+        dead: ProcId,
+        /// The undeliverable message.
+        msg: Msg,
+    },
+}
 
 /// Cluster-wide shared state: per-engine liveness and corruption flags and
 /// the engine→pump location table. All fields are atomics written only by
@@ -177,9 +194,9 @@ pub struct PumpSubstrate {
     cluster: Arc<ClusterMap>,
     now: u64,
     /// Mailboxes, indexed by engine id over the full roster (only hosted
-    /// slots are used; direct indexing keeps per-message routing O(1),
-    /// like the single-thread reactor). Roster-order iteration over the
-    /// index keeps whole-roster walks deterministic.
+    /// slots are used; direct indexing keeps per-message routing O(1)).
+    /// Roster-order iteration over the index keeps whole-roster walks
+    /// deterministic.
     mail: Vec<VecDeque<Inbound>>,
     /// True at the slots of engines this pump currently hosts — the
     /// local-vs-cross routing test.
@@ -451,9 +468,9 @@ impl Substrate for PumpSubstrate {
     }
 
     fn complete_wave(&mut self, _proc: ProcId, _sink: &mut ActionSink, work: u64) {
-        // Non-deferring, like the single-thread reactor: the driver loop
-        // dispatches the sink against the top of the decorator stack; only
-        // the work is recorded for the coordinator's clock charge.
+        // Non-deferring: the driver loop dispatches the sink against the
+        // top of the decorator stack; only the work is recorded for the
+        // coordinator's clock charge.
         self.work_pending += work;
     }
 }
@@ -545,9 +562,7 @@ pub struct Pump {
     links_tx: Vec<Option<Sender<Vec<Transfer>>>>,
     /// Envelope receivers, index = peer pump (own slot unused).
     links_rx: Vec<Option<Receiver<Vec<Transfer>>>>,
-    /// Envelopes from the previous round that arrived bundled with this
-    /// round's recv (can happen when a fast peer flushes before a slow
-    /// peer drains); applied first next round, one slot per peer.
+    /// False until the first round has started the hosted engines.
     started: bool,
     rounds: u64,
 }
@@ -723,10 +738,12 @@ impl Pump {
         }
         self.sub.inner_mut().flush();
         // Sweep: every engine ready at the top of the round gets one
-        // cooperative turn (bounded mailbox drain + a bounded wave burst —
-        // identical to the single-thread reactor's turn). Engines woken
-        // during the sweep wait for the next round, which is what bounds a
-        // round's clock charge to a few waves per live engine.
+        // cooperative turn: the stimuli that were waiting when the turn
+        // began (never more — a bounce of one of this turn's own sends
+        // would otherwise refill the mailbox as fast as it drains), then a
+        // bounded wave burst. Engines woken during the sweep wait for the
+        // next round, which is what bounds a round's clock charge to a few
+        // waves per live engine.
         let mut turns: u64 = 0;
         let mut waves: u64 = 0;
         for _ in 0..self.sub.ready.len() {
@@ -755,8 +772,7 @@ impl Pump {
             if node.has_ready() || self.sub.mail_len(p) > 0 {
                 self.sub.wake(p);
             }
-            // One turn, one batch — the bus flushes per turn, as on the
-            // single-thread reactor.
+            // One turn, one batch — the bus flushes per turn.
             self.sub.inner_mut().flush();
         }
         // Donation, after the sweep so stolen engines carry fresh state.
@@ -1104,7 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn corrupting_senders_flip_replica_results_cross_reactor_too() {
+    fn corrupting_senders_flip_replica_results_only_cross_reactor_too() {
         use splice_applicative::wave::Demand;
         use splice_applicative::{FnId, Value};
         use splice_core::packet::{ReplicaInfo, ResultPacket};
@@ -1119,14 +1135,109 @@ mod tests {
             relay_chain: vec![],
             replica: Some(ReplicaInfo { index: 0, total: 3 }),
         };
-        sub.send(ProcId(0), ProcId(2), Msg::result(rp));
-        let Some(Transfer::Deliver {
-            msg: Msg::Result(got),
-            ..
-        }) = sub.outbox[1].pop()
-        else {
-            panic!("cross-reactor result expected");
+        let mut sent = |rp: ResultPacket| {
+            sub.send(ProcId(0), ProcId(2), Msg::result(rp));
+            let Some(Transfer::Deliver {
+                msg: Msg::Result(got),
+                ..
+            }) = sub.outbox[1].pop()
+            else {
+                panic!("cross-reactor result expected");
+            };
+            got.value
         };
-        assert_ne!(got.value, Value::Int(7), "replica result corrupted");
+        assert_ne!(sent(rp.clone()), Value::Int(7), "replica result corrupted");
+        let plain = ResultPacket {
+            replica: None,
+            ..rp
+        };
+        assert_eq!(sent(plain), Value::Int(7), "non-replica results pass");
+    }
+
+    /// The single-thread reactor's substrate: one pump hosting all `n`
+    /// engines.
+    fn sub_solo(n: u32, broadcast: bool) -> (Arc<ClusterMap>, PumpSubstrate) {
+        let cluster = Arc::new(ClusterMap::new(n, broadcast, |_| 0));
+        let mut sub = PumpSubstrate::new(cluster.clone(), 1);
+        sub.hosted.fill(true);
+        (cluster, sub)
+    }
+
+    fn tag(ib: Option<Inbound>) -> u32 {
+        match ib {
+            Some(Inbound::Msg(Msg::Ack(a))) => a.incarnation,
+            other => panic!("expected an ack, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wake_deduplicates_and_the_dead_get_no_turn() {
+        let (cluster, mut sub) = sub_solo(4, true);
+        sub.wake(ProcId(1));
+        sub.wake(ProcId(1));
+        sub.wake(ProcId(2));
+        sub.wake(ProcId(3));
+        // Killed before a wake: never queues. Killed between its wake and
+        // its turn: the turn is cancelled — a fail-silent processor must
+        // not run queued waves whose sends would escape.
+        cluster.set_dead(ProcId(0));
+        sub.wake(ProcId(0));
+        cluster.set_dead(ProcId(2));
+        sub.kill_local(ProcId(2));
+        assert_eq!(sub.pop_ready(), Some(ProcId(1)));
+        assert_eq!(sub.pop_ready(), Some(ProcId(3)), "stale dead entry skipped");
+        assert_eq!(sub.pop_ready(), None);
+    }
+
+    #[test]
+    fn delayed_sends_release_at_their_deadline_in_fifo_order() {
+        let (_cluster, mut sub) = sub_solo(2, true);
+        sub.send_delayed(ProcId(0), ProcId(1), msg(1), 50);
+        sub.send_delayed(ProcId(0), ProcId(1), msg(2), 50);
+        sub.release_delayed_due();
+        assert_eq!(sub.mail_len(ProcId(1)), 0, "not due yet");
+        assert_eq!(sub.next_deadline(), Some(50));
+        sub.now = 50;
+        sub.release_delayed_due();
+        let first = tag(sub.pop_inbound(ProcId(1)));
+        assert_eq!((first, tag(sub.pop_inbound(ProcId(1)))), (1, 2), "FIFO");
+    }
+
+    #[test]
+    fn super_root_link_is_reliable_and_counted_while_parked() {
+        let (cluster, mut sub) = sub_solo(2, true);
+        sub.send_delayed(ProcId(0), ProcId::SUPER_ROOT, msg(5), 30);
+        // Every worker dies while the message is parked: it must still
+        // land, and quiescence must wait for it — it can be the result.
+        cluster.set_dead(ProcId(0));
+        cluster.set_dead(ProcId(1));
+        assert_eq!(sub.pending_sr_delayed, 1);
+        assert!(sub.sr_mail.is_empty());
+        sub.now = 30;
+        sub.release_delayed_due();
+        assert_eq!(sub.pending_sr_delayed, 0);
+        assert_eq!(sub.sr_mail.len(), 1);
+    }
+
+    #[test]
+    fn disabled_broadcast_announces_no_deaths() {
+        let (cluster, mut sub) = sub_solo(3, false);
+        cluster.set_dead(ProcId(1));
+        sub.kill_local(ProcId(1));
+        sub.report_death(ProcId(1));
+        assert_eq!(sub.backlog, 0, "deaths are silent");
+        assert_eq!(sub.pop_ready(), None);
+    }
+
+    #[test]
+    fn timers_fire_per_owner_in_deadline_order() {
+        let (_cluster, mut sub) = sub_solo(2, true);
+        sub.arm_timer(ProcId(1), Timer::LoadBeacon, 20);
+        sub.arm_timer(ProcId(0), Timer::LoadBeacon, 10);
+        assert!(sub.pop_due_timer().is_none());
+        sub.now = 25;
+        assert_eq!(sub.pop_due_timer().map(|(p, _)| p), Some(ProcId(0)));
+        assert_eq!(sub.pop_due_timer().map(|(p, _)| p), Some(ProcId(1)));
+        assert!(sub.pop_due_timer().is_none());
     }
 }

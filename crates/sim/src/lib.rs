@@ -3,13 +3,13 @@
 //!
 //! * [`machine`] — N protocol engines over the DES substrate, with fault
 //!   injection, failure detection and a reliable super-root;
-//! * [`reactor`] — the same engines over the cooperative reactor
-//!   substrate: thousands of `DriverLoop`s pumped from a ready queue on
-//!   one thread (same `MachineConfig`/`FaultPlan` in, same `RunReport`
+//! * [`parallel`] — the same engines over the cooperative reactor:
+//!   thousands of `DriverLoop`s pumped from ready queues, one pump per
+//!   core, BSP virtual-clock rounds, work stealing across pumps —
+//!   deterministic for a fixed thread count, verdict/value-par with every
+//!   other backend (same `MachineConfig`/`FaultPlan` in, same `RunReport`
 //!   out);
-//! * [`parallel`] — the multi-core reactor: one pump per core, BSP
-//!   virtual-clock rounds, work stealing across pumps — deterministic for
-//!   a fixed thread count, verdict/value-par with every other backend;
+//! * [`reactor`] — that reactor at one pump, on the caller's thread;
 //! * [`proc`] (unix) — the multi-process shard substrate: shards run as
 //!   separate OS processes over Unix domain sockets speaking the
 //!   `splice-simnet` wire codec, with reconnect/backoff transport and

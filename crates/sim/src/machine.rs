@@ -15,7 +15,7 @@
 //! latency/cost/fault models, and the driver-side event loop.
 
 use crate::cost::CostModel;
-use crate::report::RunReport;
+use crate::report::{RunCounters, RunReport};
 use splice_applicative::{Program, Workload};
 use splice_core::config::Config as RecoveryConfig;
 use splice_core::engine::{Action, Timer};
@@ -64,8 +64,8 @@ pub struct MachineConfig {
     pub batch_window: u64,
     /// Seed for stochastic placers and jitter.
     pub seed: u64,
-    /// OS threads (reactor pumps) the parallel-reactor backend spreads
-    /// the engines over; every other backend ignores it. Clamped to
+    /// OS threads (reactor pumps) the reactor backend spreads the engines
+    /// over (`ReactorMachine` forces 1); the DES ignores it. Clamped to
     /// `[1, n_procs]` at machine build time.
     pub threads: u32,
     /// Hard event budget (guards against divergence).
@@ -721,46 +721,30 @@ impl Machine {
         let shard_stats = self.sub.stats();
         let (shard_msgs_intra, shard_msgs_inter) = (shard_stats.intra_msgs, shard_stats.inter_msgs);
         let batch_stats = *self.sub.inner().batch_stats();
-        RunReport {
-            result: self.superroot.result().cloned(),
-            completed: finish.is_some(),
-            stalled,
-            finish: finish.unwrap_or(self.sub.now),
-            events,
-            delivered: self.sub.delivered,
-            dropped_to_dead: self.sub.dropped_to_dead,
-            bounces: self.sub.bounces,
-            stats: totals.stats,
-            per_proc: totals.per_proc,
-            ckpt_peak_entries: totals.ckpt_peak_entries,
-            ckpt_peak_bytes: totals.ckpt_peak_bytes,
-            ckpt_stored: totals.ckpt_stored,
-            root_reissues: self.superroot.reissues(),
-            root_failovers: self.superroot.failovers(),
-            root_replicas: self.superroot.replicas(),
-            state_samples: std::mem::take(&mut self.sub.state_samples),
-            spawn_log: std::mem::take(&mut self.spawn_log),
-            n_procs: self.nodes.len() as u32,
-            shards: self.sub.map().shards,
-            shard_msgs_intra,
-            shard_msgs_inter,
-            batch_envelopes: batch_stats.envelopes,
-            batch_msgs: batch_stats.messages,
-            faults: faults.events.len() + faults.root_events.len(),
-            threads: 1,
-            msgs_cross_reactor: 0,
-            steals: 0,
-            frames_sent: 0,
-            frames_resent: 0,
-            reconnects: 0,
-            decode_errors: 0,
-            trace: self.sub.inner().inner().tracer().summary(),
-            policy: self
-                .nodes
-                .first()
-                .map(|n| n.engine().policy_kind())
-                .unwrap_or_default(),
-        }
+        let mut report = RunReport::assemble(
+            RunCounters {
+                finish,
+                end: self.sub.now,
+                stalled,
+                events,
+                delivered: self.sub.delivered,
+                dropped_to_dead: self.sub.dropped_to_dead,
+                bounces: self.sub.bounces,
+                shards: self.sub.map().shards,
+                shard_msgs_intra,
+                shard_msgs_inter,
+                faults: faults.events.len() + faults.root_events.len(),
+                threads: 1,
+                trace: self.sub.inner().inner().tracer().summary(),
+            },
+            totals,
+            &self.superroot,
+        );
+        report.state_samples = std::mem::take(&mut self.sub.state_samples);
+        report.spawn_log = std::mem::take(&mut self.spawn_log);
+        report.batch_envelopes = batch_stats.envelopes;
+        report.batch_msgs = batch_stats.messages;
+        report
     }
 }
 

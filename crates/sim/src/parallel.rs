@@ -1,12 +1,17 @@
-//! The parallel-reactor machine: one reactor pump per core.
+//! The reactor machine: one cooperative reactor pump per core.
 //!
-//! [`ParallelReactorMachine`] is the fourth backend front-end: the same
+//! [`ParallelReactorMachine`] is the reactor backend front-end: the same
 //! [`MachineConfig`] and [`FaultPlan`] in, the same [`RunReport`] out, but
 //! execution spreads the engines over `cfg.threads` reactor pumps
 //! ([`splice_harness::ReactorCluster`]), each an OS thread running the
-//! cooperative-reactor loop over its partition. Cross-reactor sends travel
-//! over per-pair bounded channels; engines migrate between pumps when the
-//! coordinator sees a load imbalance (barrier-granular work stealing).
+//! cooperative-reactor loop over its partition: messages deliver promptly
+//! into per-engine mailboxes (no latency model), deadlines ride timer
+//! wheels, and there is no thread-per-processor limit. Cross-reactor sends
+//! travel over per-pair bounded channels; engines migrate between pumps
+//! when the coordinator sees a load imbalance (barrier-granular work
+//! stealing). The scheduling discipline — cooperative round-robin over
+//! wake order, neither global time order nor the OS — is what makes it an
+//! independent scheduler for the differential fuzz suite.
 //!
 //! **Determinism.** The pumps run in BSP-style rounds: within a round each
 //! pump is sequential over its own deterministic state, and everything
@@ -15,25 +20,29 @@
 //! pump order. The interleaving of OS threads therefore never reaches the
 //! protocol: a run is a pure function of `(config, workload, plan)` — the
 //! property the differential fault-plan fuzz suite
-//! (`tests/backend_fuzz.rs`) checks against the DES and the single-thread
-//! reactor at several thread counts.
+//! (`tests/backend_fuzz.rs`) checks against the DES at several thread
+//! counts.
 //!
-//! **Clock semantics.** The cluster clock advances at barriers by the
-//! round's summed wave cost divided by the live engine count (with a
-//! deterministic remainder carry) — the same parallel charge as the
-//! single-thread reactor, aggregated per round instead of per wave. A
-//! round executes at most [`WAVE_BURST`](splice_harness::parallel::WAVE_BURST)
-//! waves per ready engine, so the per-round charge is bounded by a few
-//! wave costs and fault plans written in virtual time land mid-run with
-//! the same granularity as on the other backends.
+//! **Clock semantics.** The pumps serialize waves onto a few real threads,
+//! but the machine they emulate runs its engines in parallel — so the
+//! cluster clock advances at barriers by the round's summed wave cost
+//! divided by the live engine count (with a deterministic remainder
+//! carry). Charging full serial cost would make virtual time race ahead
+//! of per-engine progress by a factor of the engine count: every spawn's
+//! ack timeout would expire before the child's scheduling turn came
+//! around, and the resulting reissue storm diverges at thousands of
+//! engines. A round executes at most
+//! [`WAVE_BURST`](splice_harness::parallel::WAVE_BURST) waves per ready
+//! engine, so the per-round charge is bounded by a few wave costs and
+//! fault plans written in virtual time land mid-run with the same
+//! granularity as on the other backends.
 //!
 //! With `threads == 1` the single pump runs inline on the coordinator
-//! thread — no channels, no barriers to wait on — so the parallel machine
-//! degrades to the reactor's cost profile instead of paying coordination
-//! tax for parallelism it does not have.
+//! thread — no channels, no barriers to wait on: that configuration is the
+//! single-thread reactor ([`ReactorMachine`](crate::reactor::ReactorMachine)).
 
 use crate::machine::MachineConfig;
-use crate::report::RunReport;
+use crate::report::{RunCounters, RunReport};
 use splice_applicative::{Program, Workload};
 use splice_core::engine::Timer;
 use splice_core::ids::ProcId;
@@ -224,6 +233,7 @@ impl ParallelReactorMachine {
         let mut donated_bufs: Vec<Vec<ProcId>> = (0..t).map(|_| Vec::new()).collect();
         // Per-pump ready-queue depth after the last round, for stealing.
         let mut ready: Vec<usize> = vec![0; t];
+        let mut donate: Vec<Option<(u32, u32)>> = vec![None; t];
         let mut any_rounds = false;
 
         'run: loop {
@@ -295,7 +305,7 @@ impl ParallelReactorMachine {
             }
             // Work stealing: if the last round left one pump far busier
             // than another, migrate half the gap at this barrier.
-            let mut donate: Vec<Option<(u32, u32)>> = vec![None; t];
+            donate.fill(None);
             if t > 1 && any_rounds {
                 let (mut hi, mut lo) = (0usize, 0usize);
                 for (i, &r) in ready.iter().enumerate() {
@@ -481,42 +491,29 @@ impl ParallelReactorMachine {
         engines.sort_by_key(|(p, _)| *p);
         let totals =
             EngineTotals::collect(engines.iter().map(|(_, n)| EngineSnapshot::of(n.engine())));
-        let report = RunReport {
-            result: superroot.result().cloned(),
-            completed: finish.is_some(),
-            stalled,
-            finish: finish.unwrap_or(VirtualTime(csub.now)),
-            events,
-            delivered,
-            dropped_to_dead,
-            bounces,
-            stats: totals.stats,
-            per_proc: totals.per_proc,
-            ckpt_peak_entries: totals.ckpt_peak_entries,
-            ckpt_peak_bytes: totals.ckpt_peak_bytes,
-            ckpt_stored: totals.ckpt_stored,
-            root_reissues: superroot.reissues(),
-            root_failovers: superroot.failovers(),
-            root_replicas: superroot.replicas(),
-            state_samples: Vec::new(),
-            spawn_log: Vec::new(),
-            n_procs: cluster.n(),
-            shards: cfg.topology.shard_count(),
-            shard_msgs_intra: shard_stats.intra_msgs,
-            shard_msgs_inter: shard_stats.inter_msgs,
-            batch_envelopes,
-            batch_msgs,
-            faults: faults.events.len() + faults.root_events.len(),
-            threads,
-            msgs_cross_reactor: msgs_cross,
-            steals,
-            frames_sent: 0,
-            frames_resent: 0,
-            reconnects: 0,
-            decode_errors: 0,
-            trace: tracer.summary(),
-            policy: cfg.recovery.policy.kind,
-        };
+        let mut report = RunReport::assemble(
+            RunCounters {
+                finish,
+                end: VirtualTime(csub.now),
+                stalled,
+                events,
+                delivered,
+                dropped_to_dead,
+                bounces,
+                shards: cfg.topology.shard_count(),
+                shard_msgs_intra: shard_stats.intra_msgs,
+                shard_msgs_inter: shard_stats.inter_msgs,
+                faults: faults.events.len() + faults.root_events.len(),
+                threads,
+                trace: tracer.summary(),
+            },
+            totals,
+            &superroot,
+        );
+        report.batch_envelopes = batch_envelopes;
+        report.batch_msgs = batch_msgs;
+        report.msgs_cross_reactor = msgs_cross;
+        report.steals = steals;
         (report, trace_events)
     }
 }
@@ -702,6 +699,60 @@ mod tests {
         assert!(r.completed, "bounce-only parallel recovery stalled");
         assert_eq!(r.result, Some(w.reference_result().unwrap()));
         assert!(r.bounces > 0, "discovery must have come from bounces");
+    }
+
+    #[test]
+    fn root_processor_crash_is_survived_via_super_root() {
+        let w = Workload::fib(10);
+        for threads in [1, 2] {
+            let mut c = cfg(4, threads);
+            c.recovery.mode = RecoveryMode::Splice;
+            let crash = ff_finish(&c, &w) / 4;
+            let faults = FaultPlan::crash_at(0, VirtualTime(crash.max(1)));
+            let r = run_parallel_reactor(c, &w, &faults);
+            assert!(r.completed, "{threads}-thread run stalled");
+            assert_eq!(r.result, Some(w.reference_result().unwrap()));
+        }
+    }
+
+    #[test]
+    fn whole_shard_crash_is_survived() {
+        let w = Workload::fib(13);
+        for threads in [1, 2] {
+            let mut c = MachineConfig::sharded(4, 4, 200);
+            c.policy = Policy::RoundRobin;
+            c.recovery.mode = RecoveryMode::Splice;
+            c.recovery.load_beacon_period = 0;
+            c.threads = threads;
+            let crash = ff_finish(&c, &w) / 3;
+            let faults = FaultPlan::crash_shard(1, 4, VirtualTime(crash.max(1)));
+            let r = run_parallel_reactor(c, &w, &faults);
+            assert!(r.completed, "{threads}-thread sharded run stalled");
+            assert_eq!(r.result, Some(w.reference_result().unwrap()));
+        }
+    }
+
+    #[test]
+    fn silent_massacre_of_acked_hosts_is_discovered_by_probes() {
+        // Round-robin has no beacon neighbourhood, so gossip has nowhere
+        // to go, and the coarse reactor clock lands the crash after most
+        // placements are acked: without acked-child probing the parents
+        // of children on the dead hosts would wait forever (nothing ever
+        // bounces — the sends all completed before the crash).
+        let w = Workload::fib(12);
+        for threads in [1, 2] {
+            let mut c = cfg(256, threads);
+            c.recovery.mode = RecoveryMode::Splice;
+            c.detector.broadcast = false;
+            let crash = ff_finish(&c, &w) / 2;
+            let mut faults = FaultPlan::none();
+            for v in (1..128u32).step_by(2) {
+                faults = faults.and(v, VirtualTime(crash.max(1)), FaultKind::Crash);
+            }
+            let r = run_parallel_reactor(c, &w, &faults);
+            assert!(r.completed, "{threads}-thread silent massacre stalled");
+            assert_eq!(r.result, Some(w.reference_result().unwrap()));
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! that is observationally identical to dropping them (a drop would be
 //! resent on reconnect anyway) while keeping the injector lossless.
 
-use crate::report::RunReport;
+use crate::report::{RunCounters, RunReport};
 use splice_applicative::{FnId, Workload};
 use splice_core::config::{
     CheckpointFilter, Config as RecoveryConfig, RecoveryMode, ReplicaSpec, VoteMode,
@@ -34,7 +34,7 @@ use splice_core::config::{
 use splice_core::engine::Timer;
 use splice_core::ids::ProcId;
 use splice_core::packet::Msg;
-use splice_core::policy::{PersistenceTier, PolicyKind, PolicySpec};
+use splice_core::policy::{PolicyKind, PolicySpec};
 use splice_gradient::Policy;
 use splice_harness::{
     death_notice_targets, DriverLoop, EngineSnapshot, EngineTotals, ShardMap, ShardRouter,
@@ -380,7 +380,6 @@ fn encode_recovery(e: &mut Enc<'_>, r: &RecoveryConfig) {
     e.u8(u8::from(r.probe_acked));
     e.u32v(r.root_replicas);
     e.u8(r.policy.kind.tag());
-    e.u8(r.policy.tier.tag());
     e.u32v(r.policy.recheckpoint_every);
     let mut reps: Vec<(u32, &ReplicaSpec)> = r.replicate.iter().map(|(f, s)| (f.0, s)).collect();
     reps.sort_by_key(|(f, _)| *f);
@@ -416,8 +415,6 @@ fn decode_recovery(d: &mut Dec<'_>) -> Result<RecoveryConfig, CodecError> {
     let root_replicas = d.u32v()?;
     let kind_tag = d.u8()?;
     let kind = PolicyKind::from_tag(kind_tag).ok_or(CodecError::Tag(kind_tag))?;
-    let tier_tag = d.u8()?;
-    let tier = PersistenceTier::from_tag(tier_tag).ok_or(CodecError::Tag(tier_tag))?;
     let recheckpoint_every = d.u32v()?;
     let n = d.u64v()?;
     let mut replicate = std::collections::HashMap::new();
@@ -444,7 +441,6 @@ fn decode_recovery(d: &mut Dec<'_>) -> Result<RecoveryConfig, CodecError> {
         root_replicas,
         policy: PolicySpec {
             kind,
-            tier,
             recheckpoint_every,
         },
     })
@@ -2247,7 +2243,6 @@ fn run_process_in(
     }
 
     // Teardown: drain live workers gracefully, then reap everything.
-    let completed = sr.result().is_some();
     for k in 0..shards {
         st.notify(k, &Wire::Shutdown);
     }
@@ -2335,42 +2330,30 @@ fn run_process_in(
         }
     }
     let totals = EngineTotals::collect(snaps);
-    Ok(RunReport {
-        result: sr.result().cloned(),
-        completed,
-        stalled,
-        finish: VirtualTime(finish_units.unwrap_or(end_units)),
-        events,
-        delivered,
-        dropped_to_dead: dropped,
-        bounces,
-        stats: totals.stats,
-        per_proc: totals.per_proc,
-        ckpt_peak_entries: totals.ckpt_peak_entries,
-        ckpt_peak_bytes: totals.ckpt_peak_bytes,
-        ckpt_stored: totals.ckpt_stored,
-        root_reissues: sr.reissues(),
-        root_failovers: sr.failovers(),
-        root_replicas: sr.replicas(),
-        state_samples: Vec::new(),
-        spawn_log: Vec::new(),
-        n_procs: shards * per_shard,
-        shards,
-        shard_msgs_intra: intra,
-        shard_msgs_inter: inter,
-        batch_envelopes: 0,
-        batch_msgs: 0,
-        faults: plan.events.len(),
-        threads: shards,
-        msgs_cross_reactor: 0,
-        steals: 0,
-        frames_sent,
-        frames_resent,
-        reconnects,
-        decode_errors,
-        trace,
-        policy: cfg.recovery.policy.kind,
-    })
+    let mut report = RunReport::assemble(
+        RunCounters {
+            finish: finish_units.map(VirtualTime),
+            end: VirtualTime(end_units),
+            stalled,
+            events,
+            delivered,
+            dropped_to_dead: dropped,
+            bounces,
+            shards,
+            shard_msgs_intra: intra,
+            shard_msgs_inter: inter,
+            faults: plan.events.len(),
+            threads: shards,
+            trace,
+        },
+        totals,
+        &sr,
+    );
+    report.frames_sent = frames_sent;
+    report.frames_resent = frames_resent;
+    report.reconnects = reconnects;
+    report.decode_errors = decode_errors;
+    Ok(report)
 }
 
 #[cfg(test)]

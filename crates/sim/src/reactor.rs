@@ -1,403 +1,43 @@
-//! The reactor machine: thousands of engines on one thread.
+//! The single-thread reactor: thousands of engines on one thread.
 //!
-//! [`ReactorMachine`] is the third backend front-end, next to the DES
-//! [`Machine`](crate::machine::Machine) and the threaded
-//! `splice_runtime`: the same [`MachineConfig`] and [`FaultPlan`] in, the
-//! same [`RunReport`] out, but execution runs on
-//! [`splice_harness::ReactorSubstrate`] — a cooperative reactor that pumps
-//! every `DriverLoop` from a ready queue on one thread, with no
-//! thread-per-processor limit and no event-queue latency model. Messages
-//! deliver promptly into per-engine mailboxes; deadlines (engine timers,
-//! router surcharges, batching windows) ride timer wheels; the virtual
-//! clock advances as waves execute (each wave charges
-//! [`CostModel::wave_cost`](crate::cost::CostModel::wave_cost), so fault
-//! plans written in virtual time land mid-run exactly like they do on the
-//! simulator) and skips ahead when the reactor goes idle.
-//!
-//! The reactor composes under the same decorator stack as the simulator —
-//! [`ShardRouter`] over [`BatchingSubstrate`] — so sharded and batched
-//! configurations run unchanged; the surcharges are served by the
-//! reactor's delayed-send wheel instead of the DES queue.
-//!
-//! **Clock semantics.** The reactor serializes every wave onto one real
-//! thread, but the machine it emulates runs its engines in parallel — so
-//! each wave charges `wave_cost / live_engines` to the virtual clock
-//! (with a deterministic remainder carry). Charging full serial cost
-//! would make virtual time race ahead of per-engine progress by a factor
-//! of the engine count: every spawn's ack timeout would expire before the
-//! child's scheduling turn came around, and the resulting reissue storm
-//! diverges at reactor scale (thousands of engines). The parallel charge
-//! keeps ack/notice/fault timing on the same scale as the simulator while
-//! the *order* of execution stays the reactor's own.
-//!
-//! Scheduling discipline is genuinely different from both other backends
-//! (cooperative round-robin over wake order, not global time order and
-//! not the OS), which is exactly what makes it the third independent
-//! scheduler of the differential fault-plan fuzz suite
-//! (`tests/backend_fuzz.rs`): the paper argues recovery is correct
-//! independent of how processors are scheduled, so all backends must
-//! agree on every plan's verdict and value.
+//! [`ReactorMachine`] is the parallel reactor at one pump
+//! ([`ParallelReactorMachine`] with `cfg.threads` forced to 1): the single
+//! pump runs inline on the caller's thread, with no channels and no
+//! barrier to wait on. See [`crate::parallel`] for the scheduling and
+//! clock semantics.
 
 use crate::machine::MachineConfig;
+use crate::parallel::ParallelReactorMachine;
 use crate::report::RunReport;
-use splice_applicative::{Program, Workload};
-use splice_core::ids::ProcId;
-use splice_core::place::Placer;
-use splice_harness::{
-    BatchingSubstrate, DriverLoop, EngineSnapshot, EngineTotals, Inbound, ReactorClock,
-    ReactorSubstrate, ShardMap, ShardRouter, Substrate, SuperRootDriver, TracingSubstrate,
-};
-use splice_simnet::fault::{FaultKind, FaultOutcome, FaultPlan, PlanRun};
-use splice_simnet::time::VirtualTime;
-use splice_simnet::trace::{TraceEvent, TraceKind, TraceSummary, Tracer};
-use std::sync::Arc;
-use std::time::Duration;
+use splice_applicative::Workload;
+use splice_simnet::fault::FaultPlan;
+use splice_simnet::trace::TraceEvent;
 
-/// Ready waves one scheduling turn runs before the engine goes back to
-/// the tail of the ready queue — long enough to amortize the turn, short
-/// enough that no engine starves the reactor.
-const WAVE_BURST: usize = 4;
-
-/// The reactor's substrate stack: the same decorator shape as the
-/// simulator — inter-shard router over batching bus over the canonical
-/// tracer over the reactor core.
-type ReactorStack = ShardRouter<BatchingSubstrate<TracingSubstrate<ReactorSubstrate>>>;
-
-/// The cooperative-reactor machine.
-pub struct ReactorMachine {
-    program: Arc<Program>,
-    nodes: Vec<DriverLoop>,
-    superroot: SuperRootDriver,
-    sub: ReactorStack,
-    cfg: MachineConfig,
-}
+/// The cooperative reactor on one thread.
+pub struct ReactorMachine(ParallelReactorMachine);
 
 impl ReactorMachine {
-    /// Builds a reactor machine for `workload` with per-processor placers
-    /// from the configured policy.
-    pub fn new(cfg: MachineConfig, workload: &Workload) -> ReactorMachine {
-        let topo = cfg.topology.clone();
-        let policy = cfg.policy;
-        let seed = cfg.seed;
-        // One shared roster for every per-engine placer: per-placer roster
-        // copies would make an n-engine build O(n^2) memory.
-        let all: std::sync::Arc<[splice_core::ids::ProcId]> =
-            (0..topo.len()).map(splice_core::ids::ProcId).collect();
-        ReactorMachine::with_placer_factory(cfg, workload, |p| {
-            policy.build_shared(p, &topo, seed, &all)
-        })
-    }
-
-    /// Builds a reactor machine with custom placers.
-    pub fn with_placer_factory(
-        cfg: MachineConfig,
-        workload: &Workload,
-        mut factory: impl FnMut(ProcId) -> Box<dyn Placer>,
-    ) -> ReactorMachine {
-        let n = cfg.topology.len();
-        assert!(n >= 1, "need at least one processor");
-        let program = Arc::new(workload.program.clone());
-        let recovery = cfg.engine_recovery();
-        let mut nodes = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let id = ProcId(i);
-            nodes.push(DriverLoop::new(
-                id,
-                program.clone(),
-                recovery.clone(),
-                factory(id),
-            ));
-        }
-        let superroot = SuperRootDriver::new(workload, &cfg.recovery);
-        let mut core = ReactorSubstrate::new(n, ReactorClock::virtual_units());
-        core.set_broadcast(cfg.detector.broadcast);
-        let tracer = Tracer::new(cfg.trace);
-        let map = ShardMap::new(cfg.topology.shard_count(), cfg.topology.per_shard());
-        let sub = ShardRouter::new(
-            BatchingSubstrate::new(TracingSubstrate::new(core, tracer), cfg.batch_window),
-            map,
-            cfg.router_latency,
-        );
-        ReactorMachine {
-            program,
-            nodes,
-            superroot,
-            sub,
-            cfg,
-        }
-    }
-
-    /// Switches the reactor onto the wall clock: one virtual unit lasts
-    /// `time_unit` of real time, idle periods and wave costs become real
-    /// sleeps, and fault plans land at real instants. Virtual-time results
-    /// are unchanged; wall-clock runs exist to drive the reactor as a real
-    /// single-threaded server loop.
-    pub fn wall_clock(mut self, time_unit: Duration) -> ReactorMachine {
-        *self.sub.clock_mut() = ReactorClock::wall(time_unit);
-        self
-    }
-
-    /// The program under execution.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// Wakes `owner` if it holds runnable work the ready queue does not
-    /// know about yet (after a timer fire or a delivered stimulus).
-    fn poke(&mut self, owner: ProcId) {
-        if self.nodes[owner.0 as usize].has_ready() || self.sub.has_inbound(owner) {
-            self.sub.wake(owner);
-        }
-    }
-
-    /// Applies every fault due at the current clock. Runs eagerly (at the
-    /// loop top *and* mid-burst after each wave's clock charge) so a due
-    /// fault can never be outrun by a busy engine — and so a fault that
-    /// turns out to be a no-op (corrupt-after-crash) perturbs nothing,
-    /// keeping such plans bit-identical to their crash-only equivalents.
-    fn apply_due_faults(&mut self, plan: &mut PlanRun) {
-        let now = VirtualTime(self.sub.now_units());
-        while let Some((ev, outcome)) = plan.pop_due(now) {
-            let victim = ProcId(ev.victim);
-            if self.sub.trace_enabled() {
-                self.sub.trace(TraceKind::Fault {
-                    victim: ev.victim,
-                    kind: match ev.kind {
-                        FaultKind::Crash => 0,
-                        FaultKind::Corrupt => 1,
-                    },
-                    applied: outcome != FaultOutcome::Ignored,
-                });
-            }
-            match outcome {
-                FaultOutcome::Crashed => {
-                    self.sub.kill(victim);
-                    self.sub.report_death(victim);
-                }
-                FaultOutcome::Corrupted => self.sub.set_corrupting(victim),
-                FaultOutcome::Ignored => {}
-            }
-        }
-        // Root-replica crashes ride their own cursor: the victim domain is
-        // replica ranks, not processor ids, and a deposed primary's
-        // successor takes over (reissuing the root wave) inside
-        // `crash_replica`.
-        while let Some(ev) = plan.pop_due_root(now) {
-            let applied = self.superroot.replica_live(ev.rank);
-            if self.sub.trace_enabled() {
-                self.sub.trace(TraceKind::Fault {
-                    victim: ev.rank,
-                    kind: 2,
-                    applied,
-                });
-            }
-            let failed_over = self.superroot.crash_replica(ev.rank, &mut self.sub);
-            if failed_over && self.sub.trace_enabled() {
-                let new_primary = self.superroot.primary().unwrap_or(u32::MAX);
-                self.sub
-                    .trace(TraceKind::RootFailover { rank: new_primary });
-            }
-        }
+    /// Builds a one-pump reactor machine for `workload`, whatever
+    /// `cfg.threads` says.
+    pub fn new(mut cfg: MachineConfig, workload: &Workload) -> ReactorMachine {
+        cfg.threads = 1;
+        ReactorMachine(ParallelReactorMachine::new(cfg, workload))
     }
 
     /// Runs the workload under `faults` to completion (or until it
     /// quiesces without a result, or a budget trips) and reports.
     pub fn run(self, faults: &FaultPlan) -> RunReport {
-        self.run_traced(faults).0
+        self.0.run(faults)
     }
 
     /// Like [`ReactorMachine::run`], but also returns the recorded trace
     /// events (empty unless `cfg.trace` is a recording mode).
-    pub fn run_traced(mut self, faults: &FaultPlan) -> (RunReport, Vec<TraceEvent>) {
-        let mut plan = PlanRun::new(faults, self.nodes.len() as u32);
-        for node in &mut self.nodes {
-            node.start(&mut self.sub);
-        }
-        self.superroot.launch(&mut self.sub);
-        self.sub.inner_mut().flush();
-
-        let mut pumps: u64 = 0;
-        let mut finish: Option<VirtualTime> = None;
-        let mut budget_tripped = false;
-        // Remainder carry of the parallel clock charge (see the module
-        // docs): waves charge `wave_cost / live`, and the remainders
-        // accumulate here so no cost is ever lost to integer division.
-        let mut carry: u64 = 0;
-        'run: loop {
-            pumps += 1;
-            let now = VirtualTime(self.sub.now_units());
-            if pumps > self.cfg.max_events || now > self.cfg.max_time {
-                budget_tripped = true;
-                break;
-            }
-            // Faults due now — the shared `PlanRun` owns the transition
-            // rules; the reactor only routes the outcome.
-            self.apply_due_faults(&mut plan);
-            // Due deadlines: parked delayed sends, then engine timers.
-            self.sub.release_delayed_due();
-            while let Some((owner, timer)) = self.sub.pop_due_timer() {
-                if owner.is_super_root() {
-                    self.superroot.on_timer(timer, &mut self.sub);
-                } else if self.sub.is_live(owner) {
-                    self.nodes[owner.0 as usize].on_timer(timer, &mut self.sub);
-                    self.poke(owner);
-                }
-            }
-            // The super-root driver runs between engine turns.
-            while let Some(dead) = self.sub.pop_sr_notice() {
-                self.superroot.on_failure(dead, &mut self.sub);
-            }
-            while let Some(msg) = self.sub.pop_sr_mail() {
-                self.superroot.on_message(msg, &mut self.sub);
-            }
-            if self.superroot.result().is_some() {
-                finish = Some(VirtualTime(self.sub.now_units()));
-                break;
-            }
-            // With every root replica dead the super-root role itself is
-            // gone: inputs are discarded, so no delivery can ever set the
-            // result. Quiesce as stalled immediately.
-            if !self.superroot.has_live_replica() {
-                break;
-            }
-            if let Some(p) = self.sub.pop_ready() {
-                // One cooperative turn: drain the stimuli that were
-                // waiting when the turn began (never more — a bounce of
-                // one of this turn's own sends would otherwise re-fill the
-                // mailbox as fast as it drains and livelock the reactor),
-                // then a bounded burst of ready waves, each charging its
-                // cost to the clock so fault times stay meaningful.
-                let i = p.0 as usize;
-                for _ in 0..self.sub.mail_len(p) {
-                    let Some(ib) = self.sub.pop_inbound(p) else {
-                        break;
-                    };
-                    match ib {
-                        Inbound::Msg(msg) => self.nodes[i].on_message(msg, &mut self.sub),
-                        Inbound::Bounce { dead, msg } => {
-                            self.nodes[i].on_send_failed(dead, msg, &mut self.sub)
-                        }
-                    }
-                }
-                for _ in 0..WAVE_BURST {
-                    if !self.nodes[i].run_ready_wave(&mut self.sub) {
-                        break;
-                    }
-                    // Parallel clock charge: this wave occupied one of
-                    // `live` engines, so the emulated machine's clock
-                    // moves by cost/live (carry keeps the division exact
-                    // over time).
-                    let work = self.sub.take_work();
-                    carry += self.cfg.cost.wave_cost(work);
-                    let live = u64::from(self.sub.live_count().max(1));
-                    let step = carry / live;
-                    carry %= live;
-                    let done = self.sub.now_units() + step;
-                    self.sub.clock_mut().advance_to(done);
-                    // A fault may have become due under the new clock;
-                    // apply it before more waves run — the engine itself
-                    // may now be dead.
-                    self.apply_due_faults(&mut plan);
-                    if !self.sub.is_live(p) {
-                        break;
-                    }
-                }
-                self.poke(p);
-            } else {
-                // Idle. With every engine dead and the driver link quiet
-                // the result can never arrive — the super-root's hopeless
-                // reissue cycle must not spin the clock forever.
-                if self.sub.live_count() == 0 && self.sub.sr_quiet() {
-                    break;
-                }
-                // Otherwise skip the clock to the next thing that can
-                // happen: a deadline or a scheduled fault. Nothing left at
-                // all is quiescence without a result.
-                let next_io = self.sub.next_deadline();
-                let next_fault = plan.next_at().map(|t| t.ticks());
-                let target = match (next_io, next_fault) {
-                    (Some(a), Some(b)) => a.min(b),
-                    (a, b) => match a.or(b) {
-                        Some(t) => t,
-                        None => break 'run,
-                    },
-                };
-                self.sub.clock_mut().advance_to(target);
-            }
-            // One turn, one batch: traffic buffered on the bus this turn
-            // goes out now, `batch_window` units late.
-            self.sub.inner_mut().flush();
-        }
-
-        let stalled = finish.is_none() && !budget_tripped;
-        let trace_events = self.sub.inner_mut().inner_mut().tracer_mut().take_events();
-        (
-            self.build_report(pumps, finish, stalled, faults),
-            trace_events,
-        )
-    }
-
-    /// Canonical-trace fingerprint accumulated so far.
-    pub fn trace_summary(&self) -> TraceSummary {
-        self.sub.inner().inner().tracer().summary()
-    }
-
-    fn build_report(
-        &mut self,
-        events: u64,
-        finish: Option<VirtualTime>,
-        stalled: bool,
-        faults: &FaultPlan,
-    ) -> RunReport {
-        let totals =
-            EngineTotals::collect(self.nodes.iter().map(|n| EngineSnapshot::of(n.engine())));
-        let shard_stats = self.sub.stats();
-        let (shard_msgs_intra, shard_msgs_inter) = (shard_stats.intra_msgs, shard_stats.inter_msgs);
-        let batch_stats = *self.sub.inner().batch_stats();
-        RunReport {
-            result: self.superroot.result().cloned(),
-            completed: finish.is_some(),
-            stalled,
-            finish: finish.unwrap_or(VirtualTime(self.sub.now_units())),
-            events,
-            delivered: self.sub.delivered(),
-            dropped_to_dead: self.sub.dropped_to_dead(),
-            bounces: self.sub.bounces(),
-            stats: totals.stats,
-            per_proc: totals.per_proc,
-            ckpt_peak_entries: totals.ckpt_peak_entries,
-            ckpt_peak_bytes: totals.ckpt_peak_bytes,
-            ckpt_stored: totals.ckpt_stored,
-            root_reissues: self.superroot.reissues(),
-            root_failovers: self.superroot.failovers(),
-            root_replicas: self.superroot.replicas(),
-            state_samples: Vec::new(),
-            spawn_log: Vec::new(),
-            n_procs: self.nodes.len() as u32,
-            shards: self.sub.map().shards,
-            shard_msgs_intra,
-            shard_msgs_inter,
-            batch_envelopes: batch_stats.envelopes,
-            batch_msgs: batch_stats.messages,
-            faults: faults.events.len() + faults.root_events.len(),
-            threads: 1,
-            msgs_cross_reactor: 0,
-            steals: 0,
-            frames_sent: 0,
-            frames_resent: 0,
-            reconnects: 0,
-            decode_errors: 0,
-            trace: self.sub.inner().inner().tracer().summary(),
-            policy: self
-                .nodes
-                .first()
-                .map(|n| n.engine().policy_kind())
-                .unwrap_or_default(),
-        }
+    pub fn run_traced(self, faults: &FaultPlan) -> (RunReport, Vec<TraceEvent>) {
+        self.0.run_traced(faults)
     }
 }
 
-/// Convenience: run `workload` on the reactor backend under `cfg` and a
+/// Convenience: run `workload` on the one-thread reactor under `cfg` and a
 /// fault plan.
 pub fn run_reactor(cfg: MachineConfig, workload: &Workload, faults: &FaultPlan) -> RunReport {
     ReactorMachine::new(cfg, workload).run(faults)
@@ -406,227 +46,15 @@ pub fn run_reactor(cfg: MachineConfig, workload: &Workload, faults: &FaultPlan) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splice_core::config::RecoveryMode;
-    use splice_gradient::Policy;
-    use splice_simnet::fault::FaultKind;
-
-    fn cfg(n: u32) -> MachineConfig {
-        let mut c = MachineConfig::new(n);
-        c.policy = Policy::RoundRobin;
-        c.recovery.load_beacon_period = 0;
-        c
-    }
 
     #[test]
-    fn fault_free_run_matches_reference() {
+    fn new_forces_one_pump_whatever_the_config_asks() {
         let w = Workload::fib(10);
-        let r = run_reactor(cfg(4), &w, &FaultPlan::none());
-        assert!(r.completed, "reactor stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        assert!(r.stats.tasks_completed >= 177);
-        assert_eq!(r.stats.eval_errors, 0);
-        assert!(r.finish > VirtualTime(0), "waves must charge the clock");
-    }
-
-    #[test]
-    fn fault_free_small_suite() {
-        for w in Workload::suite_small() {
-            let r = run_reactor(cfg(5), &w, &FaultPlan::none());
-            assert!(r.completed, "{}", w.name);
-            assert_eq!(r.result, Some(w.reference_result().unwrap()), "{}", w.name);
-        }
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        let w = Workload::quicksort(24, 7);
-        let faults = FaultPlan::crash_at(3, VirtualTime(2_500));
-        let a = run_reactor(cfg(5), &w, &faults);
-        let b = run_reactor(cfg(5), &w, &faults);
-        assert_eq!(a.finish, b.finish);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.delivered, b.delivered);
-    }
-
-    /// Fault-free completion time, for timing crashes mid-run (the
-    /// reactor's parallel-charged clock has its own timescale; absolute
-    /// tick constants tuned for the DES would race run completion).
-    fn ff_finish(c: &MachineConfig, w: &Workload) -> u64 {
-        let r = run_reactor(c.clone(), w, &FaultPlan::none());
-        assert!(r.completed, "{} baseline stalled", w.name);
-        r.finish.ticks()
-    }
-
-    #[test]
-    fn single_crash_splice_recovers() {
-        let w = Workload::fib(12);
-        let mut c = cfg(4);
-        c.recovery.mode = RecoveryMode::Splice;
-        let crash = ff_finish(&c, &w) / 3;
-        let faults = FaultPlan::crash_at(2, VirtualTime(crash.max(1)));
-        let r = run_reactor(c, &w, &faults);
-        assert!(r.completed, "reactor crash run stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-    }
-
-    #[test]
-    fn single_crash_rollback_recovers() {
-        let w = Workload::fib(12);
-        let mut c = cfg(4);
-        c.recovery.mode = RecoveryMode::Rollback;
-        let crash = ff_finish(&c, &w) / 3;
-        let faults = FaultPlan::crash_at(1, VirtualTime(crash.max(1)));
-        let r = run_reactor(c, &w, &faults);
-        assert!(r.completed, "rollback run stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-    }
-
-    #[test]
-    fn all_crash_plan_stalls_quickly() {
-        let w = Workload::fib(12);
-        let c = cfg(4);
-        let max_events = c.max_events;
-        // Every processor dies mid-run (a third of the way through the
-        // fault-free timeline — faults can only push completion later, so
-        // the massacre demonstrably lands before the result).
-        let crash = VirtualTime((ff_finish(&c, &w) / 3).max(1));
-        let mut faults = FaultPlan::none();
-        for p in 0..4 {
-            faults = faults.and(p, crash, FaultKind::Crash);
-        }
-        let r = run_reactor(c, &w, &faults);
-        assert!(!r.completed);
-        assert!(r.stalled, "all-dead run must be reported as stalled");
-        assert_eq!(r.result, None);
-        assert!(
-            r.events < max_events / 100,
-            "stall detected after {} pumps (budget {max_events})",
-            r.events
-        );
-    }
-
-    #[test]
-    fn corrupt_after_crash_is_inert() {
-        let w = Workload::fib(12);
-        let mut c = cfg(4);
-        c.recovery.mode = RecoveryMode::Splice;
-        let t = ff_finish(&c, &w);
-        let crash_only = FaultPlan::crash_at(2, VirtualTime((t / 3).max(1)));
-        let with_corrupt =
-            crash_only
-                .clone()
-                .and(2, VirtualTime((t / 2).max(2)), FaultKind::Corrupt);
-        let a = run_reactor(c.clone(), &w, &crash_only);
-        let b = run_reactor(c, &w, &with_corrupt);
-        assert!(a.completed && b.completed);
-        assert_eq!(a.result, b.result);
-        assert_eq!(a.finish, b.finish);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.delivered, b.delivered);
-    }
-
-    #[test]
-    fn root_processor_crash_is_survived_via_super_root() {
-        let w = Workload::fib(10);
-        let mut c = cfg(4);
-        c.recovery.mode = RecoveryMode::Splice;
-        let crash = ff_finish(&c, &w) / 4;
-        let faults = FaultPlan::crash_at(0, VirtualTime(crash.max(1)));
-        let r = run_reactor(c, &w, &faults);
+        let mut cfg = MachineConfig::new(8);
+        cfg.threads = 4;
+        let r = run_reactor(cfg, &w, &FaultPlan::none());
         assert!(r.completed);
         assert_eq!(r.result, Some(w.reference_result().unwrap()));
-    }
-
-    #[test]
-    fn sharded_and_batched_decorators_compose_on_the_reactor() {
-        let w = Workload::fib(12);
-        let mut c = MachineConfig::sharded(2, 2, 200);
-        c.policy = Policy::RoundRobin;
-        c.batch_window = 150;
-        c.recovery.ack_timeout += 4 * c.batch_window;
-        c.recovery.load_beacon_period = 0;
-        let r = run_reactor(c, &w, &FaultPlan::none());
-        assert!(r.completed, "sharded+batched reactor run stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        assert!(r.shard_msgs_inter > 0, "traffic must cross the router");
-        assert!(r.batch_msgs > 0, "traffic must ride the bus");
-    }
-
-    #[test]
-    fn whole_shard_crash_is_survived() {
-        let w = Workload::fib(13);
-        let mut c = MachineConfig::sharded(4, 4, 200);
-        c.policy = Policy::RoundRobin;
-        c.recovery.mode = RecoveryMode::Splice;
-        c.recovery.load_beacon_period = 0;
-        let crash = ff_finish(&c, &w) / 3;
-        let faults = FaultPlan::crash_shard(1, 4, VirtualTime(crash.max(1)));
-        let r = run_reactor(c, &w, &faults);
-        assert!(r.completed, "sharded reactor run stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-    }
-
-    #[test]
-    fn detector_disabled_recovery_completes_via_bounces_alone() {
-        let w = Workload::fib(12);
-        let mut c = cfg(4);
-        c.recovery.mode = RecoveryMode::Splice;
-        c.detector.broadcast = false;
-        let crash = ff_finish(&c, &w) / 3;
-        let faults = FaultPlan::crash_at(2, VirtualTime(crash.max(1)));
-        let r = run_reactor(c, &w, &faults);
-        assert!(r.completed, "bounce-only reactor recovery stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        assert!(r.bounces > 0, "discovery must have come from bounces");
-    }
-
-    #[test]
-    fn silent_massacre_of_acked_hosts_is_discovered_by_probes() {
-        // Round-robin has no beacon neighbourhood, so gossip has nowhere
-        // to go, and the coarse reactor clock lands the crash after most
-        // placements are acked: without acked-child probing the parents
-        // of children on the dead hosts would wait forever (nothing ever
-        // bounces — the sends all completed before the crash).
-        let w = Workload::fib(12);
-        let mut c = cfg(256);
-        c.recovery.mode = RecoveryMode::Splice;
-        c.detector.broadcast = false;
-        let crash = ff_finish(&c, &w) / 2;
-        let mut faults = FaultPlan::none();
-        for v in (1..128u32).step_by(2) {
-            faults = faults.and(v, VirtualTime(crash.max(1)), FaultKind::Crash);
-        }
-        let r = run_reactor(c, &w, &faults);
-        assert!(r.completed, "silent-massacre reactor recovery stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-    }
-
-    #[test]
-    fn thousands_of_engines_on_one_thread() {
-        // The headline capability: no thread-per-processor limit. 2048
-        // engines, one thread, reference answer out.
-        let w = Workload::fib(12);
-        let c = cfg(2_048);
-        let r = run_reactor(c, &w, &FaultPlan::none());
-        assert!(r.completed, "2048-engine reactor run stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        assert_eq!(r.n_procs, 2_048);
-    }
-
-    #[test]
-    fn wall_clock_reactor_completes() {
-        let w = Workload::fib(8);
-        // On the wall clock, protocol timeouts are real durations: the
-        // time unit must be sized so the ack timeout clears real
-        // scheduling latency (the same tuning rule as the threaded
-        // runtime's `time_unit`), or every spawn reissues before its ack
-        // gets a turn. 1µs × 20k units = a 20ms ack timeout.
-        let mut c = cfg(3);
-        c.recovery.ack_timeout = 20_000;
-        let m = ReactorMachine::new(c, &w).wall_clock(Duration::from_micros(1));
-        let r = m.run(&FaultPlan::none());
-        assert!(r.completed, "wall-clock reactor run stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
+        assert_eq!((r.threads, r.steals, r.msgs_cross_reactor), (1, 0, 0));
     }
 }

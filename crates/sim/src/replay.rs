@@ -17,7 +17,6 @@
 
 use crate::machine::{Machine, MachineConfig};
 use crate::parallel::ParallelReactorMachine;
-use crate::reactor::ReactorMachine;
 use crate::report::RunReport;
 use splice_applicative::Workload;
 use splice_simnet::fault::{FaultKind, FaultPlan};
@@ -33,9 +32,8 @@ use std::fmt;
 pub enum Backend {
     /// The discrete-event simulator (`Machine`).
     Des,
-    /// The single-thread cooperative reactor (`ReactorMachine`).
-    Reactor,
-    /// The multi-pump reactor (`ParallelReactorMachine`).
+    /// The cooperative reactor on `cfg.threads` pumps
+    /// (`ParallelReactorMachine`; one pump is `ReactorMachine`).
     ParallelReactor,
     /// The multi-process machine (`proc::run_process`): one OS process
     /// per shard over Unix domain sockets. Wall-clock driven, so it is
@@ -48,13 +46,12 @@ pub enum Backend {
 impl Backend {
     /// Every deterministic backend, in canonical order. The process
     /// backend is deliberately absent: no stream to replay.
-    pub const ALL: [Backend; 3] = [Backend::Des, Backend::Reactor, Backend::ParallelReactor];
+    pub const ALL: [Backend; 2] = [Backend::Des, Backend::ParallelReactor];
 
     /// Stable command-line name.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Des => "des",
-            Backend::Reactor => "reactor",
             Backend::ParallelReactor => "parallel",
             Backend::Process => "process",
         }
@@ -107,7 +104,6 @@ pub fn execute(
 ) -> (RunReport, Vec<TraceEvent>) {
     match backend {
         Backend::Des => Machine::new(cfg, workload).run_traced(plan),
-        Backend::Reactor => ReactorMachine::new(cfg, workload).run_traced(plan),
         Backend::ParallelReactor => ParallelReactorMachine::new(cfg, workload).run_traced(plan),
         #[cfg(unix)]
         Backend::Process => {

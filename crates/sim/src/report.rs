@@ -3,6 +3,7 @@
 use splice_applicative::Value;
 use splice_core::policy::PolicyKind;
 use splice_core::stats::ProcStats;
+use splice_harness::{EngineTotals, SuperRootDriver};
 use splice_simnet::time::VirtualTime;
 use splice_simnet::trace::TraceSummary;
 use std::fmt;
@@ -73,9 +74,8 @@ pub struct RunReport {
     pub batch_msgs: u64,
     /// Number of injected faults.
     pub faults: usize,
-    /// OS threads the backend executed on (1 for the DES, the simulator
-    /// and the single-thread reactor; the pump count on the parallel
-    /// reactor).
+    /// OS threads the backend executed on (1 for the DES; the pump count
+    /// on the reactor; the shard-process count on the process backend).
     pub threads: u32,
     /// Worker messages that crossed a reactor-pump boundary (every
     /// forwarding hop counts; 0 on single-pump backends).
@@ -101,7 +101,74 @@ pub struct RunReport {
     pub policy: PolicyKind,
 }
 
+/// What a backend's own run loop measured: the part of a [`RunReport`]
+/// that is read off neither the engines nor the super-root.
+pub(crate) struct RunCounters {
+    /// When the super-root observed the result, if it did.
+    pub finish: Option<VirtualTime>,
+    /// The clock when the run loop exited.
+    pub end: VirtualTime,
+    pub stalled: bool,
+    pub events: u64,
+    pub delivered: u64,
+    pub dropped_to_dead: u64,
+    pub bounces: u64,
+    pub shards: u32,
+    pub shard_msgs_intra: u64,
+    pub shard_msgs_inter: u64,
+    pub faults: usize,
+    pub threads: u32,
+    pub trace: TraceSummary,
+}
+
 impl RunReport {
+    /// The one place a report is put together: the run loop's `counters`,
+    /// the engines' `totals` and the super-root's outcome. Counters only
+    /// one backend owns (sampling, batching, pump and wire traffic) start
+    /// at zero; that backend sets them on the returned report.
+    pub(crate) fn assemble(
+        counters: RunCounters,
+        totals: EngineTotals,
+        superroot: &SuperRootDriver,
+    ) -> RunReport {
+        RunReport {
+            result: superroot.result().cloned(),
+            completed: counters.finish.is_some(),
+            stalled: counters.stalled,
+            finish: counters.finish.unwrap_or(counters.end),
+            events: counters.events,
+            delivered: counters.delivered,
+            dropped_to_dead: counters.dropped_to_dead,
+            bounces: counters.bounces,
+            n_procs: totals.per_proc.len() as u32,
+            stats: totals.stats,
+            per_proc: totals.per_proc,
+            ckpt_peak_entries: totals.ckpt_peak_entries,
+            ckpt_peak_bytes: totals.ckpt_peak_bytes,
+            ckpt_stored: totals.ckpt_stored,
+            root_reissues: superroot.reissues(),
+            root_failovers: superroot.failovers(),
+            root_replicas: superroot.replicas(),
+            state_samples: Vec::new(),
+            spawn_log: Vec::new(),
+            shards: counters.shards,
+            shard_msgs_intra: counters.shard_msgs_intra,
+            shard_msgs_inter: counters.shard_msgs_inter,
+            batch_envelopes: 0,
+            batch_msgs: 0,
+            faults: counters.faults,
+            threads: counters.threads,
+            msgs_cross_reactor: 0,
+            steals: 0,
+            frames_sent: 0,
+            frames_resent: 0,
+            reconnects: 0,
+            decode_errors: 0,
+            trace: counters.trace,
+            policy: superroot.policy().kind,
+        }
+    }
+
     /// Total work units executed (including redone and garbage work).
     pub fn total_work(&self) -> u64 {
         self.stats.work_units

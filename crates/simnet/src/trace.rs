@@ -110,8 +110,6 @@ pub enum TraceKind {
     Policy {
         /// The policy's stable tag (`PolicyKind::tag`).
         kind: u8,
-        /// The persistence tier's stable tag (`PersistenceTier::tag`).
-        tier: u8,
         /// Incremental re-checkpoint period (0 = off).
         every: u32,
     },
@@ -146,10 +144,9 @@ impl TraceKind {
                 fnv_mix(fnv_mix(fnv_mix(h, 6), u64::from(owner)), digest)
             }
             TraceKind::RootFailover { rank } => fnv_mix(fnv_mix(h, 7), u64::from(rank)),
-            TraceKind::Policy { kind, tier, every } => fnv_mix(
-                fnv_mix(fnv_mix(fnv_mix(h, 8), u64::from(kind)), u64::from(tier)),
-                u64::from(every),
-            ),
+            TraceKind::Policy { kind, every } => {
+                fnv_mix(fnv_mix(fnv_mix(h, 8), u64::from(kind)), u64::from(every))
+            }
         }
     }
 }
@@ -182,8 +179,8 @@ impl fmt::Display for TraceKind {
             TraceKind::RootFailover { rank } => {
                 write!(f, "root-failover new-primary=root#{rank}")
             }
-            TraceKind::Policy { kind, tier, every } => {
-                write!(f, "policy kind={kind} tier={tier} every={every}")
+            TraceKind::Policy { kind, every } => {
+                write!(f, "policy kind={kind} every={every}")
             }
         }
     }

@@ -3,7 +3,7 @@
 //! No thread per processor, no event-queue latency model — a hand-rolled
 //! reactor (ready queue + waker flags + timer wheels) pumps every engine
 //! cooperatively. Same config, same fault plans, same report as the DES
-//! machine; a third independent scheduler for the same recovery protocol.
+//! machine; an independent scheduler for the same recovery protocol.
 //!
 //! ```sh
 //! cargo run --release --example reactor_machine

@@ -40,7 +40,7 @@ fn usage() -> ExitCode {
   splice-trace shrink (--plan P | --archived NAME) --workload W \\
                       [--backend B] [--procs N] [--threads T]
 
-  B = des | reactor | parallel
+  B = des | parallel   (the one-thread reactor is `parallel --threads 1`)
   W = fib:N | dcsum:LO:HI | quicksort:LEN:SEED | nqueens:N | tak:X:Y:Z | mapreduce:LO:HI:WORK
   P = victim@time:crash|corrupt[,...] | none"
     );
@@ -169,10 +169,7 @@ fn encode_event(ev: &TraceEvent) -> String {
         TraceKind::Wave { owner, work } => ("w", vec![u64::from(owner), work]),
         TraceKind::Complete { owner, digest } => ("c", vec![u64::from(owner), digest]),
         TraceKind::RootFailover { rank } => ("r", vec![u64::from(rank)]),
-        TraceKind::Policy { kind, tier, every } => (
-            "p",
-            vec![u64::from(kind), u64::from(tier), u64::from(every)],
-        ),
+        TraceKind::Policy { kind, every } => ("p", vec![u64::from(kind), u64::from(every)]),
     };
     let mut line = format!("{} {} {tag}", ev.at.ticks(), ev.seq);
     for f in fields {
@@ -217,9 +214,8 @@ fn parse_event(line: &str) -> Option<TraceEvent> {
             digest: *digest,
         },
         ("r", [rank]) => TraceKind::RootFailover { rank: *rank as u32 },
-        ("p", [kind, tier, every]) => TraceKind::Policy {
+        ("p", [kind, every]) => TraceKind::Policy {
             kind: *kind as u8,
-            tier: *tier as u8,
             every: *every as u32,
         },
         _ => return None,

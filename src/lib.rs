@@ -19,8 +19,8 @@
 //! * [`simnet`] (= `splice-simnet`) — the discrete-event substrate;
 //! * [`gradient`] (= `splice-gradient`) — dynamic task allocation;
 //! * [`sim`] (= `splice-sim`) — the simulated machine, the cooperative
-//!   reactor machine (thousands of engines on one thread), and the
-//!   experiments;
+//!   reactor machine (thousands of engines on one thread, or one pump
+//!   per core), and the experiments;
 //! * [`runtime`] (= `splice-runtime`) — the threaded machine.
 //!
 //! # Quickstart

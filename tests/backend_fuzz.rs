@@ -1,20 +1,20 @@
-//! Differential fault-plan fuzzing: the DES simulator, the cooperative
-//! reactor and the multi-core parallel reactor are *independent*
-//! schedulers for the same protocol engine (globally time-ordered event
-//! queue vs wake-ordered cooperative turns vs BSP rounds over real OS
-//! threads). The paper argues the recovery protocol's outcome does not
-//! depend on how processors are scheduled — so for any fault plan the
-//! backends must agree on the verdict (completed / stalled) and, when a
-//! run completes, on the final wave value (which must equal the reference
-//! evaluator's). The parallel leg additionally pins thread-count
-//! independence: the same plan at 1, 2 and 4 pumps.
+//! Differential fault-plan fuzzing: the DES simulator and the cooperative
+//! reactor are *independent* schedulers for the same protocol engine
+//! (globally time-ordered event queue vs wake-ordered cooperative turns in
+//! BSP rounds, on one thread or over real OS threads). The paper argues
+//! the recovery protocol's outcome does not depend on how processors are
+//! scheduled — so for any fault plan the backends must agree on the
+//! verdict (completed / stalled) and, when a run completes, on the final
+//! wave value (which must equal the reference evaluator's). Every reactor
+//! run additionally pins thread-count independence: the same plan at 1
+//! (the single-thread reactor), 2 and 4 pumps.
 //!
 //! Every proptest case derives a random plan — multi-fault crashes with
 //! optionally protected processors, corrupt-after-crash mixes, whole-shard
 //! massacres, whole-system death — and drives both backends with the same
 //! seed and configuration. Fault instants are drawn from the middle of the
-//! *shorter* backend's fault-free timeline, so each fault demonstrably
-//! lands mid-run on both machines (faults can only push completion later,
+//! *shortest* fault-free timeline, so each fault demonstrably lands
+//! mid-run on every machine (faults can only push completion later,
 //! never earlier). This is exactly the regime where the slow-ack /
 //! fast-notice class of bugs (PRs 2 and 4) was hiding: a scheduler
 //! ordering one backend can produce and the other cannot.
@@ -24,7 +24,6 @@ use splice::core::config::RecoveryMode;
 use splice::gradient::Policy;
 use splice::prelude::*;
 use splice::sim::parallel::run_parallel_reactor;
-use splice::sim::reactor::run_reactor;
 use splice::sim::report::RunReport;
 use splice::sim::{execute, Backend};
 use splice::simnet::fault::FaultKind;
@@ -40,8 +39,8 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Small, fast workloads — each fuzz case runs four full machine
-/// executions (two baselines, two faulted runs).
+/// Small, fast workloads — each fuzz case runs eight full machine
+/// executions (four baselines, four faulted runs).
 fn workload(idx: u64) -> Workload {
     match idx % 3 {
         0 => Workload::fib(9),
@@ -69,21 +68,6 @@ fn sharded_cfg(shards: u32, per_shard: u32, mode: RecoveryMode) -> MachineConfig
     c.recovery.load_beacon_period = 0;
     c.max_events = 2_000_000;
     c
-}
-
-/// The fault window: instants inside the middle of the shorter fault-free
-/// timeline, so every fault lands while both machines are still running.
-fn fault_window(cfg: &MachineConfig, w: &Workload) -> (u64, u64) {
-    let sim = run_workload(cfg.clone(), w, &FaultPlan::none());
-    assert!(sim.completed, "sim fault-free baseline stalled: {}", w.name);
-    let rea = run_reactor(cfg.clone(), w, &FaultPlan::none());
-    assert!(
-        rea.completed,
-        "reactor fault-free baseline stalled: {}",
-        w.name
-    );
-    let horizon = sim.finish.ticks().min(rea.finish.ticks());
-    (horizon / 6 + 1, 2 * horizon / 3 + 2)
 }
 
 fn verdict(r: &RunReport) -> (bool, bool) {
@@ -132,56 +116,16 @@ fn explain_divergence(
     );
 }
 
-/// Drives `plan` through both backends and asserts scheduler-independent
-/// outcomes: same verdict, same value, and any completed value equals the
-/// reference evaluator's.
-fn assert_backend_parity(cfg: &MachineConfig, w: &Workload, plan: &FaultPlan) {
-    let sim = run_workload(cfg.clone(), w, plan);
-    let rea = run_reactor(cfg.clone(), w, plan);
-    assert!(
-        sim.completed || sim.stalled,
-        "sim tripped its event budget on {} under {plan:?}",
-        w.name
-    );
-    assert!(
-        rea.completed || rea.stalled,
-        "reactor tripped its pump budget on {} under {plan:?}",
-        w.name
-    );
-    if verdict(&sim) != verdict(&rea) || sim.result != rea.result {
-        explain_divergence(
-            cfg,
-            w,
-            plan,
-            Backend::Des,
-            Backend::Reactor,
-            format!(
-                "sim {:?}/{:?} vs reactor {:?}/{:?}",
-                verdict(&sim),
-                sim.result,
-                verdict(&rea),
-                rea.result
-            ),
-        );
-    }
-    if sim.completed {
-        assert_eq!(
-            sim.result,
-            Some(w.reference_result().unwrap()),
-            "both backends agreed on a wrong answer for {} under {plan:?}",
-            w.name
-        );
-    }
-}
-
-/// Thread counts every parallel-leg case runs at: the inline single pump,
-/// the smallest genuinely-parallel fleet, and a fleet wider than most of
-/// the fuzzed machines (some pumps host a single engine).
+/// Thread counts every case runs the reactor at: the inline single pump
+/// (the single-thread reactor), the smallest genuinely-parallel fleet, and
+/// a fleet wider than most of the fuzzed machines (some pumps host a single
+/// engine).
 const THREAD_COUNTS: [u32; 3] = [1, 2, 4];
 
-/// The parallel leg's fault window: the minimum over the DES baseline and
-/// the parallel baselines at every fuzzed thread count, so each fault
-/// demonstrably lands mid-run on every machine shape.
+/// The fault window: instants inside the middle of the shortest
+/// fault-free timeline — the minimum over the DES baseline and the reactor
+/// baselines at every fuzzed thread count — so each fault demonstrably
+/// lands mid-run on every machine shape.
 fn parallel_fault_window(cfg: &MachineConfig, w: &Workload) -> (u64, u64) {
     let sim = run_workload(cfg.clone(), w, &FaultPlan::none());
     assert!(sim.completed, "sim fault-free baseline stalled: {}", w.name);
@@ -245,160 +189,152 @@ fn assert_parallel_parity(cfg: &MachineConfig, w: &Workload, plan: &FaultPlan) {
     }
 }
 
+/// One flat-machine case: multi-fault crash plans (with and without
+/// protected processors, up to and including whole-system death) mixed
+/// with corrupt faults, including corrupt-after-crash on the same victim.
+fn flat_case(seed: u64, shape: u8) {
+    let mut s = seed;
+    let n = 3 + (mix(&mut s) % 5) as u32; // 3..=7 processors
+    let mode = if mix(&mut s).is_multiple_of(4) {
+        RecoveryMode::Rollback
+    } else {
+        RecoveryMode::Splice
+    };
+    let w = workload(mix(&mut s));
+    let cfg = flat_cfg(n, mode);
+    let (lo, hi) = parallel_fault_window(&cfg, &w);
+    let plan = match shape {
+        0 => {
+            // k distinct random victims; sometimes processor 0 (the
+            // launch rotor's first pick) is protected. k can reach n:
+            // whole-system death, which must stall identically.
+            let protect: &[u32] = if mix(&mut s).is_multiple_of(2) {
+                &[0]
+            } else {
+                &[]
+            };
+            let k = (mix(&mut s) % u64::from(n + 1)) as usize;
+            FaultPlan::random_crashes(
+                k,
+                n,
+                (VirtualTime(lo), VirtualTime(hi)),
+                protect,
+                mix(&mut s),
+            )
+        }
+        1 => {
+            // Every processor dies at one instant: verdict parity on the
+            // stall side, detected on every pump count.
+            let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
+            let mut p = FaultPlan::none();
+            for v in 0..n {
+                p = p.and(v, t, FaultKind::Crash);
+            }
+            p
+        }
+        _ => {
+            // Crash + corruption mix: one victim crashes then is
+            // "corrupted" (must be a no-op on every backend), a second
+            // live processor corrupts mid-run (inert without
+            // replication), and maybe one more crash.
+            let victim = (mix(&mut s) % u64::from(n)) as u32;
+            let other = (victim + 1 + (mix(&mut s) % u64::from(n - 1)) as u32) % n;
+            let t = lo + mix(&mut s) % (hi - lo).max(1);
+            let mut p = FaultPlan::crash_at(victim, VirtualTime(t))
+                .and(victim, VirtualTime(t + 1), FaultKind::Corrupt)
+                .and(other, VirtualTime(lo), FaultKind::Corrupt);
+            if mix(&mut s).is_multiple_of(2) && n > 2 {
+                let third = (other + 1) % n;
+                if third != victim {
+                    p = p.and(third, VirtualTime(hi), FaultKind::Crash);
+                }
+            }
+            p
+        }
+    };
+    assert_parallel_parity(&cfg, &w, &plan);
+}
+
+/// One sharded-machine case behind the inter-shard router: whole-shard
+/// massacres and cross-shard multi-fault plans with the full decorator
+/// stack (`ShardRouter` over `BatchingSubstrate` over the pump substrate),
+/// router surcharges included. Shard boundaries and pump boundaries
+/// deliberately do not coincide.
+fn sharded_case(seed: u64, whole_shard: bool) {
+    let mut s = seed;
+    let shards = 2 + (mix(&mut s) % 2) as u32; // 2..=3
+    let per_shard = 2 + (mix(&mut s) % 2) as u32; // 2..=3
+    let n = shards * per_shard;
+    let w = workload(mix(&mut s));
+    let cfg = sharded_cfg(shards, per_shard, RecoveryMode::Splice);
+    let (lo, hi) = parallel_fault_window(&cfg, &w);
+    let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
+    let plan = if whole_shard {
+        // One whole shard dies — possibly shard 0, which hosts the root
+        // at launch.
+        let shard = (mix(&mut s) % u64::from(shards)) as u32;
+        FaultPlan::crash_shard(shard, per_shard, t)
+    } else {
+        FaultPlan::random_crashes(
+            1 + (mix(&mut s) % u64::from(n - 1)) as usize,
+            n,
+            (VirtualTime(lo), VirtualTime(hi)),
+            &[],
+            mix(&mut s),
+        )
+    };
+    assert_parallel_parity(&cfg, &w, &plan);
+}
+
+/// Crashes root-replica ranks `0..k` (1 <= k < `replicas`) at random
+/// instants inside the window: rank 0 leads at launch, so the acting
+/// primary is deposed at least once and a successor must take over.
+fn root_crash_plan(s: &mut u64, replicas: u32, (lo, hi): (u64, u64)) -> FaultPlan {
+    let k = 1 + (mix(s) % u64::from(replicas - 1)) as u32; // 1..=N-1 deaths
+    let mut plan = FaultPlan::none();
+    for r in 0..k {
+        let t = lo + mix(s) % (hi - lo).max(1);
+        plan = plan.crash_root_replica(r, VirtualTime(t));
+    }
+    plan
+}
+
+// Each shape runs under two pinned test names, `sim_and_reactor_*` and
+// `sim_and_parallel_reactor_*`: one case body (every case sweeps 1, 2 and
+// 4 pumps), two case counts.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Flat machines: multi-fault crash plans (with and without protected
-    /// processors, up to and including whole-system death) mixed with
-    /// corrupt faults, including corrupt-after-crash on the same victim.
     #[test]
     fn sim_and_reactor_agree_on_flat_plans(seed in any::<u64>(), shape in 0u8..3) {
-        let mut s = seed;
-        let n = 3 + (mix(&mut s) % 5) as u32; // 3..=7 processors
-        let mode = if mix(&mut s).is_multiple_of(4) {
-            RecoveryMode::Rollback
-        } else {
-            RecoveryMode::Splice
-        };
-        let w = workload(mix(&mut s));
-        let cfg = flat_cfg(n, mode);
-        let (lo, hi) = fault_window(&cfg, &w);
-        let plan = match shape {
-            0 => {
-                // k distinct random victims; sometimes processor 0 (the
-                // launch rotor's first pick) is protected. k can reach n:
-                // whole-system death, which must stall identically.
-                let protect: &[u32] = if mix(&mut s).is_multiple_of(2) { &[0] } else { &[] };
-                let k = (mix(&mut s) % u64::from(n + 1)) as usize;
-                FaultPlan::random_crashes(
-                    k,
-                    n,
-                    (VirtualTime(lo), VirtualTime(hi)),
-                    protect,
-                    mix(&mut s),
-                )
-            }
-            1 => {
-                // Every processor dies at one instant: verdict parity on
-                // the stall side.
-                let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
-                let mut p = FaultPlan::none();
-                for v in 0..n {
-                    p = p.and(v, t, FaultKind::Crash);
-                }
-                p
-            }
-            _ => {
-                // Crash + corruption mix: one victim crashes then is
-                // "corrupted" (must be a no-op on both backends), a second
-                // live processor corrupts mid-run (inert without
-                // replication), and maybe one more crash.
-                let victim = (mix(&mut s) % u64::from(n)) as u32;
-                let other = (victim + 1 + (mix(&mut s) % u64::from(n - 1)) as u32) % n;
-                let t = lo + mix(&mut s) % (hi - lo).max(1);
-                let mut p = FaultPlan::crash_at(victim, VirtualTime(t))
-                    .and(victim, VirtualTime(t + 1), FaultKind::Corrupt)
-                    .and(other, VirtualTime(lo), FaultKind::Corrupt);
-                if mix(&mut s).is_multiple_of(2) && n > 2 {
-                    let third = (other + 1) % n;
-                    if third != victim {
-                        p = p.and(third, VirtualTime(hi), FaultKind::Crash);
-                    }
-                }
-                p
-            }
-        };
-        assert_backend_parity(&cfg, &w, &plan);
+        flat_case(seed, shape);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Flat machines on the parallel reactor: the same multi-fault crash
-    /// and corrupt-after-crash shapes as the sim/reactor leg, each plan
-    /// run at 1, 2 and 4 pumps — every run must match the DES verdict and
-    /// value, whatever partition the engines land in. (Fewer cases than
-    /// the single-thread legs: each case is eight full machine runs.)
     #[test]
     fn sim_and_parallel_reactor_agree_on_flat_plans(seed in any::<u64>(), shape in 0u8..3) {
-        let mut s = seed;
-        let n = 3 + (mix(&mut s) % 5) as u32; // 3..=7 processors
-        let mode = if mix(&mut s).is_multiple_of(4) {
-            RecoveryMode::Rollback
-        } else {
-            RecoveryMode::Splice
-        };
-        let w = workload(mix(&mut s));
-        let cfg = flat_cfg(n, mode);
-        let (lo, hi) = parallel_fault_window(&cfg, &w);
-        let plan = match shape {
-            0 => {
-                let protect: &[u32] = if mix(&mut s).is_multiple_of(2) { &[0] } else { &[] };
-                let k = (mix(&mut s) % u64::from(n + 1)) as usize;
-                FaultPlan::random_crashes(
-                    k,
-                    n,
-                    (VirtualTime(lo), VirtualTime(hi)),
-                    protect,
-                    mix(&mut s),
-                )
-            }
-            1 => {
-                // Whole-system death: the all-dead stall must be detected
-                // on every pump count.
-                let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
-                let mut p = FaultPlan::none();
-                for v in 0..n {
-                    p = p.and(v, t, FaultKind::Crash);
-                }
-                p
-            }
-            _ => {
-                // Crash + corruption mix, corrupt-after-crash included.
-                let victim = (mix(&mut s) % u64::from(n)) as u32;
-                let other = (victim + 1 + (mix(&mut s) % u64::from(n - 1)) as u32) % n;
-                let t = lo + mix(&mut s) % (hi - lo).max(1);
-                FaultPlan::crash_at(victim, VirtualTime(t))
-                    .and(victim, VirtualTime(t + 1), FaultKind::Corrupt)
-                    .and(other, VirtualTime(lo), FaultKind::Corrupt)
-            }
-        };
-        assert_parallel_parity(&cfg, &w, &plan);
+        flat_case(seed, shape);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sim_and_reactor_agree_on_sharded_plans(seed in any::<u64>(), whole_shard in any::<bool>()) {
+        sharded_case(seed, whole_shard);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharded machines on the parallel reactor: whole-shard massacres and
-    /// cross-shard multi-fault plans with the full decorator stack
-    /// (`ShardRouter` over `BatchingSubstrate` over the pump substrate),
-    /// each at 1, 2 and 4 pumps. Shard boundaries and pump boundaries
-    /// deliberately do not coincide.
     #[test]
     fn sim_and_parallel_reactor_agree_on_sharded_plans(seed in any::<u64>(), whole_shard in any::<bool>()) {
-        let mut s = seed;
-        let shards = 2 + (mix(&mut s) % 2) as u32; // 2..=3
-        let per_shard = 2 + (mix(&mut s) % 2) as u32; // 2..=3
-        let n = shards * per_shard;
-        let w = workload(mix(&mut s));
-        let cfg = sharded_cfg(shards, per_shard, RecoveryMode::Splice);
-        let (lo, hi) = parallel_fault_window(&cfg, &w);
-        let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
-        let plan = if whole_shard {
-            let shard = (mix(&mut s) % u64::from(shards)) as u32;
-            FaultPlan::crash_shard(shard, per_shard, t)
-        } else {
-            FaultPlan::random_crashes(
-                1 + (mix(&mut s) % u64::from(n - 1)) as usize,
-                n,
-                (VirtualTime(lo), VirtualTime(hi)),
-                &[],
-                mix(&mut s),
-            )
-        };
-        assert_parallel_parity(&cfg, &w, &plan);
+        sharded_case(seed, whole_shard);
     }
 }
 
@@ -464,7 +400,7 @@ proptest! {
         let per_shard = 1 + (mix(&mut s) % 2) as u32; // 1..=2
         let w = workload(mix(&mut s));
         let cfg = process_cfg(shards, per_shard);
-        let (lo, hi) = fault_window(&cfg, &w);
+        let (lo, hi) = parallel_fault_window(&cfg, &w);
         let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
         let victim = (mix(&mut s) % u64::from(shards)) as u32;
         let plan = FaultPlan::crash_shard(victim, per_shard, t);
@@ -485,7 +421,7 @@ proptest! {
     /// N) deposes the acting primary at least once, and a successor must
     /// take over from the replicated checkpoint and reissue the root
     /// wave — so the run still completes with the reference value, on
-    /// both backends, optionally with an ordinary processor crash
+    /// every backend, optionally with an ordinary processor crash
     /// landing alongside.
     #[test]
     fn sim_and_reactor_agree_on_root_replica_crashes(seed in any::<u64>()) {
@@ -495,13 +431,8 @@ proptest! {
         let w = workload(mix(&mut s));
         let mut cfg = flat_cfg(n, RecoveryMode::Splice);
         cfg.recovery.root_replicas = replicas;
-        let (lo, hi) = fault_window(&cfg, &w);
-        let k = 1 + (mix(&mut s) % u64::from(replicas - 1)) as u32; // 1..=N-1 deaths
-        let mut plan = FaultPlan::none();
-        for r in 0..k {
-            let t = lo + mix(&mut s) % (hi - lo).max(1);
-            plan = plan.crash_root_replica(r, VirtualTime(t));
-        }
+        let (lo, hi) = parallel_fault_window(&cfg, &w);
+        let mut plan = root_crash_plan(&mut s, replicas, (lo, hi));
         if mix(&mut s).is_multiple_of(2) {
             let v = (mix(&mut s) % u64::from(n)) as u32;
             let t = lo + mix(&mut s) % (hi - lo).max(1);
@@ -518,7 +449,7 @@ proptest! {
             "no failover recorded on {} under {plan:?}",
             w.name
         );
-        assert_backend_parity(&cfg, &w, &plan);
+        assert_parallel_parity(&cfg, &w, &plan);
     }
 }
 
@@ -537,13 +468,7 @@ proptest! {
         let w = workload(mix(&mut s));
         let mut cfg = flat_cfg(n, RecoveryMode::Splice);
         cfg.recovery.root_replicas = replicas;
-        let (lo, hi) = parallel_fault_window(&cfg, &w);
-        let k = 1 + (mix(&mut s) % u64::from(replicas - 1)) as u32;
-        let mut plan = FaultPlan::none();
-        for r in 0..k {
-            let t = lo + mix(&mut s) % (hi - lo).max(1);
-            plan = plan.crash_root_replica(r, VirtualTime(t));
-        }
+        let plan = root_crash_plan(&mut s, replicas, parallel_fault_window(&cfg, &w));
         assert_parallel_parity(&cfg, &w, &plan);
     }
 }
@@ -563,7 +488,7 @@ proptest! {
         let w = workload(mix(&mut s));
         let mut cfg = flat_cfg(n, RecoveryMode::Splice);
         cfg.recovery.root_replicas = replicas;
-        let (lo, hi) = fault_window(&cfg, &w);
+        let (lo, hi) = parallel_fault_window(&cfg, &w);
         let mut plan = FaultPlan::none();
         for r in 0..replicas {
             let t = lo + mix(&mut s) % (hi - lo).max(1);
@@ -574,12 +499,6 @@ proptest! {
             !sim.completed && sim.stalled,
             "DES: quorum death must stall, got completed={} stalled={} on {}",
             sim.completed, sim.stalled, w.name
-        );
-        let rea = run_reactor(cfg.clone(), &w, &plan);
-        prop_assert!(
-            !rea.completed && rea.stalled,
-            "reactor: quorum death must stall, got completed={} stalled={} on {}",
-            rea.completed, rea.stalled, w.name
         );
         for threads in THREAD_COUNTS {
             let mut c = cfg.clone();
@@ -600,7 +519,8 @@ proptest! {
     /// The recovery-policy axis: one random multi-fault plan (multi-crash
     /// shapes up to whole-system death, optionally protected processor 0,
     /// rollback and splice modes), run under all *three* recovery
-    /// policies on both the DES and the reactor. Two properties at once:
+    /// policies on the DES and the reactor at every pump count. Two
+    /// properties at once:
     /// within each policy the backends must agree (scheduler
     /// independence, policy included in any shrunk reproducer), and
     /// *across* policies the verdict and value must be identical — the
@@ -617,7 +537,7 @@ proptest! {
         };
         let w = workload(mix(&mut s));
         let base = flat_cfg(n, mode);
-        let (lo, hi) = fault_window(&base, &w);
+        let (lo, hi) = parallel_fault_window(&base, &w);
         let protect: &[u32] = if mix(&mut s).is_multiple_of(2) { &[0] } else { &[] };
         let k = (mix(&mut s) % u64::from(n + 1)) as usize;
         let plan = FaultPlan::random_crashes(
@@ -631,7 +551,7 @@ proptest! {
         for kind in PolicyKind::ALL {
             let mut cfg = base.clone();
             cfg.recovery.policy = PolicySpec::of(kind);
-            assert_backend_parity(&cfg, &w, &plan);
+            assert_parallel_parity(&cfg, &w, &plan);
             let r = run_workload(cfg, &w, &plan);
             outcomes.push((kind, verdict(&r), r.result));
         }
@@ -643,40 +563,5 @@ proptest! {
                 kind, k0, &w.name, &plan
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Sharded machines behind the inter-shard router: whole-shard
-    /// massacres and cross-shard multi-fault plans — the decorator stack
-    /// (`ShardRouter` over `BatchingSubstrate`) composes identically over
-    /// the DES and the reactor, router surcharges included.
-    #[test]
-    fn sim_and_reactor_agree_on_sharded_plans(seed in any::<u64>(), whole_shard in any::<bool>()) {
-        let mut s = seed;
-        let shards = 2 + (mix(&mut s) % 2) as u32; // 2..=3
-        let per_shard = 2 + (mix(&mut s) % 2) as u32; // 2..=3
-        let n = shards * per_shard;
-        let w = workload(mix(&mut s));
-        let cfg = sharded_cfg(shards, per_shard, RecoveryMode::Splice);
-        let (lo, hi) = fault_window(&cfg, &w);
-        let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
-        let plan = if whole_shard {
-            // One whole shard dies — possibly shard 0, which hosts the
-            // root at launch.
-            let shard = (mix(&mut s) % u64::from(shards)) as u32;
-            FaultPlan::crash_shard(shard, per_shard, t)
-        } else {
-            FaultPlan::random_crashes(
-                1 + (mix(&mut s) % u64::from(n - 1)) as usize,
-                n,
-                (VirtualTime(lo), VirtualTime(hi)),
-                &[],
-                mix(&mut s),
-            )
-        };
-        assert_backend_parity(&cfg, &w, &plan);
     }
 }

@@ -126,11 +126,11 @@ fn non_eager_policies_announce_themselves_in_the_trace() {
     let tags: Vec<_> = events
         .iter()
         .filter_map(|e| match e.kind {
-            TraceKind::Policy { kind, tier, every } => Some((kind, tier, every)),
+            TraceKind::Policy { kind, every } => Some((kind, every)),
             _ => None,
         })
         .collect();
-    assert_eq!(tags, vec![(PolicyKind::Lazy.tag(), 2, 0)]);
+    assert_eq!(tags, vec![(PolicyKind::Lazy.tag(), 0)]);
 
     let mut eager = cfg(2);
     eager.trace = TraceMode::Full;
@@ -152,19 +152,23 @@ fn every_policy_completes_fib16_through_mid_run_crash_in_sim() {
     let w = Workload::fib(16);
     let expected = w.reference_result().unwrap();
     for kind in PolicyKind::ALL {
-        for backend in Backend::ALL {
+        // The DES, and the reactor at one pump (the single-thread
+        // reactor) and at two.
+        for (backend, threads) in [
+            (Backend::Des, 1),
+            (Backend::ParallelReactor, 1),
+            (Backend::ParallelReactor, 2),
+        ] {
             let mut c = cfg(4);
-            if backend == Backend::ParallelReactor {
-                c.threads = 2;
-            }
+            c.threads = threads;
             c.recovery.policy = PolicySpec::of(kind);
             let plan = mid_worker_crash(&c, &w);
             let (r, _) = execute(backend, c, &w, &plan);
-            assert!(r.completed, "{kind} on {backend} stalled: {r}");
+            assert!(r.completed, "{kind} on {backend}@{threads} stalled: {r}");
             assert_eq!(
                 r.result,
                 Some(expected.clone()),
-                "{kind} on {backend} got the wrong answer"
+                "{kind} on {backend}@{threads} got the wrong answer"
             );
             assert_eq!(r.policy, kind, "{backend} misreported the policy");
         }

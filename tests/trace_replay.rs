@@ -32,6 +32,15 @@ fn sharded_cfg(shards: u32, per_shard: u32, threads: u32) -> MachineConfig {
     c
 }
 
+/// Every deterministic scheduler: the DES, and the reactor at one pump
+/// (the single-thread reactor), two and four.
+const SCHEDULERS: [(Backend, u32); 4] = [
+    (Backend::Des, 1),
+    (Backend::ParallelReactor, 1),
+    (Backend::ParallelReactor, 2),
+    (Backend::ParallelReactor, 4),
+];
+
 /// A multi-fault plan on the sharded machine: one mid-run crash, a
 /// corrupt aimed at the same victim after death (must apply as a no-op),
 /// and a second crash in the other shard.
@@ -42,19 +51,20 @@ fn multi_fault_plan() -> FaultPlan {
 }
 
 /// Acceptance gate: recording a multi-fault sharded run and replaying its
-/// trace reproduces the `RunReport` bit-identically on every backend.
+/// trace reproduces the `RunReport` bit-identically on every backend, at
+/// one pump (the single-thread reactor) and at several.
 #[test]
 fn replay_smoke_multi_fault_sharded_plan_is_bit_identical() {
     let w = Workload::dcsum(0, 40);
     let plan = multi_fault_plan();
-    for backend in Backend::ALL {
-        let rec = record(backend, sharded_cfg(2, 2, 2), &w, &plan);
-        assert!(rec.report.completed, "{backend}: sharded run stalled");
-        assert!(!rec.events.is_empty(), "{backend}: nothing recorded");
+    for (backend, threads) in SCHEDULERS {
+        let rec = record(backend, sharded_cfg(2, 2, threads), &w, &plan);
+        assert!(rec.report.completed, "{backend}@{threads}: run stalled");
+        assert!(!rec.events.is_empty(), "{backend}@{threads}: no events");
         let rp = replay(&rec);
         assert!(
             rp.bit_identical(),
-            "{backend}: replay diverged: {:?} report_matches={}",
+            "{backend}@{threads}: replay diverged: {:?} report_matches={}",
             rp.divergence,
             rp.report_matches
         );
@@ -163,19 +173,13 @@ fn shrinker_reduces_archived_root_failover() {
 }
 
 /// Golden determinism: on a fault-free plan the commutative semantic
-/// checksum is byte-identical across the DES, the reactor, and the
-/// parallel reactor at 1, 2 and 4 pumps.
+/// checksum is byte-identical across the DES and the reactor at 1, 2 and
+/// 4 pumps.
 #[test]
 fn semantic_checksum_agrees_across_backends_and_pump_counts() {
     let w = Workload::quicksort(16, 9);
     let mut golden = None;
-    for (backend, threads) in [
-        (Backend::Des, 1),
-        (Backend::Reactor, 1),
-        (Backend::ParallelReactor, 1),
-        (Backend::ParallelReactor, 2),
-        (Backend::ParallelReactor, 4),
-    ] {
+    for (backend, threads) in SCHEDULERS {
         let mut cfg = flat_cfg(4, threads);
         cfg.trace = TraceMode::Checksum;
         let (report, _) = execute(backend, cfg, &w, &FaultPlan::none());
