@@ -25,6 +25,17 @@
 //! frames are withheld until the window heals. Under an ARQ transport
 //! that is observationally identical to dropping them (a drop would be
 //! resent on reconnect anyway) while keeping the injector lossless.
+//!
+//! # Waiting
+//!
+//! Every loop — worker handshake, worker main loop, coordinator main loop
+//! and teardown drain — blocks in one `poll(2)` call (`wait_readable`)
+//! on the listener, every inbound connection and, on a worker, every
+//! connected outbound peer stream. It wakes the moment a socket is
+//! readable or hung up, or at the loop's next deadline, capped at 1 ms;
+//! there is no fixed nap. Reads stay nonblocking on the loop's one
+//! thread. A peer stream the wait reports as stirring is probed for EOF
+//! by the next flush — the only evidence a one-directional link gives.
 
 use crate::report::{RunCounters, RunReport};
 use splice_applicative::{FnId, Workload};
@@ -49,6 +60,8 @@ use splice_simnet::topology::Topology;
 use splice_simnet::trace::{TraceMode, TraceSummary, Tracer};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
+use std::os::raw::{c_int, c_short};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -785,6 +798,80 @@ fn pump_read(stream: &mut UnixStream, fb: &mut FrameBuf) -> io::Result<bool> {
     }
 }
 
+const POLLIN: c_short = 0x001;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+#[cfg(target_os = "linux")]
+type Nfds = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type Nfds = std::os::raw::c_uint;
+
+/// One socket in a [`wait_readable`] set (the C `struct pollfd`).
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+impl PollFd {
+    fn new(sock: &impl AsRawFd) -> PollFd {
+        PollFd {
+            fd: sock.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+
+    /// True when the last wait saw input, hang-up or an error here.
+    fn woke(&self) -> bool {
+        self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
+    }
+}
+
+/// Blocks until a socket in `fds` is readable, hung up or in error, or
+/// until `timeout` (rounded up to whole milliseconds) passes. Returns how
+/// many entries woke; a timeout or a signal reads as `0`.
+#[allow(unsafe_code)]
+fn wait_readable(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+    let ms = timeout.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int;
+    // SAFETY: `PollFd` is `#[repr(C)]` with the layout of `struct pollfd`,
+    // the pointer and length come from one live exclusive slice, and poll
+    // writes only the `revents` fields inside it.
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as Nfds, ms) };
+    match n {
+        n if n >= 0 => Ok(n as usize),
+        _ => match io::Error::last_os_error() {
+            e if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+            e => Err(e),
+        },
+    }
+}
+
+/// Longest a loop blocks without socket evidence. Transport deadlines —
+/// reconnect backoff, delay and partition windows — are not tracked one
+/// by one; this cap keeps them within a millisecond.
+const MAX_WAIT: Duration = Duration::from_millis(1);
+
+/// How long a loop may block before `next` (its earliest deadline).
+fn wait_budget(next: Option<Instant>) -> Duration {
+    next.map_or(MAX_WAIT, |at| {
+        at.saturating_duration_since(Instant::now()).min(MAX_WAIT)
+    })
+}
+
+/// Refills `fds` with the listener (when bound) and every inbound
+/// connection.
+fn watch_inbound(fds: &mut Vec<PollFd>, listener: Option<&UnixListener>, conns: &[InConn]) {
+    fds.clear();
+    fds.extend(listener.map(PollFd::new));
+    fds.extend(conns.iter().map(|c| PollFd::new(&c.stream)));
+}
+
 // ---------------------------------------------------------------------------
 // Transport (worker side)
 // ---------------------------------------------------------------------------
@@ -815,6 +902,8 @@ struct Peer {
     /// True once any connection attempt has been made; later attempts
     /// count as reconnects.
     tried: bool,
+    /// The last readiness wait saw input, hang-up or an error on `stream`.
+    woke: bool,
     dead: bool,
     garble_next: bool,
     block_until: Option<Instant>,
@@ -857,6 +946,7 @@ impl Transport {
                     attempts: 0,
                     next_attempt: now,
                     tried: false,
+                    woke: false,
                     dead: false,
                     garble_next: false,
                     block_until: None,
@@ -952,6 +1042,29 @@ impl Transport {
         self.peers.get_mut(shard as usize)?.as_mut()
     }
 
+    /// Adds every connected peer stream to a wait set.
+    fn watch(&self, fds: &mut Vec<PollFd>) {
+        let streams = self
+            .peers
+            .iter()
+            .flatten()
+            .filter_map(|p| p.stream.as_ref());
+        fds.extend(streams.map(PollFd::new));
+    }
+
+    /// Records which peer streams the wait woke on; `fds` is exactly what
+    /// [`Transport::watch`] pushed, in the same order.
+    fn note_woken(&mut self, fds: &[PollFd]) {
+        let connected = self
+            .peers
+            .iter_mut()
+            .flatten()
+            .filter(|p| p.stream.is_some());
+        for (peer, fd) in connected.zip(fds) {
+            peer.woke |= fd.woke();
+        }
+    }
+
     /// Pushes queued traffic onto sockets, reconnecting as needed.
     /// Returns peers that exhausted their reconnect budget this call,
     /// with the traffic that must now bounce.
@@ -971,17 +1084,15 @@ impl Transport {
         if peer.dead {
             return;
         }
-        if peer.block_until.is_some_and(|t| now < t) {
-            return;
-        }
-        if let Some(s) = peer.stream.as_mut() {
-            // Links are one-directional — the receiver never writes — so
-            // the only readable state this socket can reach is EOF/reset:
-            // the receiver rejected a frame and dropped the connection.
-            // Probe for that even when idle; without this, a corrupted
-            // *final* frame on a link that then goes quiet is lost forever
-            // (the retained clean copy only replays on reconnect, and the
-            // sender would otherwise only notice on its next write).
+        // Links are one-directional — the receiver never writes — so the
+        // only readable state this socket can reach is EOF/reset: the
+        // receiver rejected a frame and dropped the connection. Probe for
+        // that when the wait says so, even on an idle or partitioned link;
+        // without this, a corrupted *final* frame on a link that then goes
+        // quiet is lost forever (the retained clean copy only replays on
+        // reconnect). A failed write drops the stream on its own.
+        let woke = std::mem::take(&mut peer.woke);
+        if let Some(s) = peer.stream.as_mut().filter(|_| woke) {
             let mut probe = [0u8; 16];
             let gone = s.set_nonblocking(true).is_err()
                 || match s.read(&mut probe) {
@@ -999,6 +1110,9 @@ impl Transport {
                 peer.stream = None;
                 peer.next_attempt = now;
             }
+        }
+        if peer.block_until.is_some_and(|t| now < t) {
+            return;
         }
         let wants = !peer.pending.is_empty() || (peer.stream.is_none() && !peer.sent.is_empty());
         if !wants {
@@ -1084,32 +1198,36 @@ impl Transport {
             self.frame.clear();
             encode_frame(&self.scratch, &mut self.frame);
             let noisy = peer.noise_until.is_some_and(|t| now < t);
-            let wire_bytes = if peer.garble_next {
+            let flip = if peer.garble_next {
                 peer.garble_next = false;
                 // Flip one body byte after the checksum was computed: the
                 // length word survives (stream framing stays parseable) but
                 // the receiver's checksum rejects the frame.
-                let mut g = self.frame.clone();
-                g[5] ^= 0x5a;
-                g
+                Some((5, 0x5a))
             } else if noisy && self.next_jitter(2) == 0 {
                 // Active noise window: corrupt roughly every other frame at
                 // a random body position past the length word. Same recovery
                 // path as garble — checksum reject, connection drop, clean
                 // replay from `sent`.
-                let mut g = self.frame.clone();
-                let span = (g.len() as u64).saturating_sub(5).max(1);
-                let idx = (5 + self.next_jitter(span) as usize).min(g.len() - 1);
-                g[idx] ^= 0xa5;
-                g
+                let span = (self.frame.len() as u64).saturating_sub(5).max(1);
+                let idx = 5 + self.next_jitter(span) as usize;
+                Some((idx.min(self.frame.len() - 1), 0xa5))
             } else {
-                self.frame.clone()
+                None
             };
             let stream = peer.stream.as_mut().expect("connected above");
-            match stream.write_all(&wire_bytes) {
+            let wrote = match flip {
+                Some((idx, mask)) => {
+                    let mut g = self.frame.clone();
+                    g[idx] ^= mask;
+                    stream.write_all(&g)
+                }
+                None => stream.write_all(&self.frame),
+            };
+            match wrote {
                 Ok(()) => {
                     self.frames_sent += 1;
-                    peer.sent.push(std::mem::take(&mut self.frame));
+                    peer.sent.push(self.frame.clone());
                     peer.pending.pop_front();
                 }
                 Err(_) => {
@@ -1321,6 +1439,7 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
     let mut conns: Vec<InConn> = Vec::new();
     let mut pre_data: Vec<(u32, u64, ProcId, Msg)> = Vec::new();
     let mut init: Option<Box<Init>> = None;
+    let mut fds: Vec<PollFd> = Vec::new();
     while init.is_none() {
         if start.elapsed() > Duration::from_secs(10) {
             return 2;
@@ -1329,6 +1448,7 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
         let mut any = false;
         let mut drop_idx: Vec<usize> = Vec::new();
         for (ci, conn) in conns.iter_mut().enumerate() {
+            let eof = pump_read(&mut conn.stream, &mut conn.fb).unwrap_or(true);
             loop {
                 match conn.fb.next_frame() {
                     Ok(Some(body)) => {
@@ -1354,20 +1474,21 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
                     }
                 }
             }
-            match pump_read(&mut conn.stream, &mut conn.fb) {
-                Ok(false) => {}
-                Ok(true) | Err(_) => {
-                    if !conn.is_coord && conn.fb.pending() == 0 {
-                        drop_idx.push(ci);
-                    }
-                }
+            // Whatever is still buffered after EOF is a partial frame that
+            // can never complete. The coordinator's link is kept: losing it
+            // after Init is the main loop's shutdown signal.
+            if eof && !conn.is_coord {
+                drop_idx.push(ci);
             }
         }
+        drop_idx.sort_unstable();
+        drop_idx.dedup();
         for ci in drop_idx.into_iter().rev() {
             conns.remove(ci);
         }
         if !any {
-            std::thread::sleep(Duration::from_millis(1));
+            watch_inbound(&mut fds, Some(&listener), &conns);
+            let _ = wait_readable(&mut fds, MAX_WAIT);
         }
     }
     let init = init.expect("loop exits with init");
@@ -1512,7 +1633,7 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
                     }
                 }
             }
-            if eof && conn.fb.pending() == 0 {
+            if eof {
                 if conn.is_coord {
                     coord_eof = true;
                 } else {
@@ -1604,14 +1725,20 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
             progressed = true;
         }
 
-        if !progressed && core.inbox.is_empty() && core.bounces.is_empty() {
-            let mut nap = Duration::from_micros(200);
-            if let Some(at) = core.timers.next_deadline() {
-                let until = at.saturating_duration_since(Instant::now());
-                nap = nap.min(until.max(Duration::from_micros(10)));
-            }
-            std::thread::sleep(nap);
-        }
+        // Block until a socket stirs or the next timer is due. A busy
+        // iteration still polls, without blocking, so that a hang-up on an
+        // outbound link reaches the next flush's EOF probe.
+        let idle = !progressed && core.inbox.is_empty() && core.bounces.is_empty();
+        let budget = if idle {
+            wait_budget(core.timers.next_deadline().copied())
+        } else {
+            Duration::ZERO
+        };
+        watch_inbound(&mut fds, listener.as_ref(), &conns);
+        let peers_from = fds.len();
+        core.transport.watch(&mut fds);
+        let _ = wait_readable(&mut fds, budget);
+        core.transport.note_woken(&fds[peers_from..]);
     }
 
     // Graceful drain: snapshot the engines and report out.
@@ -2026,6 +2153,7 @@ fn run_process_in(
         reconnect_budget: cfg.reconnect_budget,
     };
     let mut w2c: Vec<InConn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut ready = vec![false; shards as usize];
     let mut launched = false;
     let mut launch_at = Instant::now();
@@ -2121,7 +2249,7 @@ fn run_process_in(
                     }
                 }
             }
-            if eof && conn.fb.pending() == 0 {
+            if eof {
                 drop_idx.push(ci);
             }
         }
@@ -2238,7 +2366,16 @@ fn run_process_in(
             break;
         }
         if !progressed {
-            std::thread::sleep(Duration::from_micros(200));
+            let next_fault = plan_events
+                .get(cursor)
+                .filter(|_| launched)
+                .map(|ev| launch_at + units_to_wall(nanos, ev.at.ticks()));
+            let next = [st.timers.next_deadline().copied(), next_fault]
+                .into_iter()
+                .flatten()
+                .min();
+            watch_inbound(&mut fds, Some(&listener), &w2c);
+            let _ = wait_readable(&mut fds, wait_budget(next));
         }
     }
 
@@ -2274,7 +2411,7 @@ fn run_process_in(
                     }
                 }
             }
-            if eof && conn.fb.pending() == 0 {
+            if eof {
                 drop_idx.push(ci);
             }
         }
@@ -2283,7 +2420,8 @@ fn run_process_in(
         for ci in drop_idx.into_iter().rev() {
             w2c.remove(ci);
         }
-        std::thread::sleep(Duration::from_millis(1));
+        watch_inbound(&mut fds, Some(&listener), &w2c);
+        let _ = wait_readable(&mut fds, MAX_WAIT);
     }
     for c in children.iter_mut().flatten() {
         let _ = c.kill();
@@ -2360,6 +2498,36 @@ fn run_process_in(
 mod tests {
     use super::*;
     use splice_core::stats::ProcStats;
+
+    #[test]
+    fn wait_readable_wakes_on_buffered_bytes() {
+        let (mut near, far) = UnixStream::pair().expect("pair");
+        near.write_all(b"x").expect("write");
+        let mut fds = [PollFd::new(&far)];
+        let n = wait_readable(&mut fds, Duration::from_secs(10)).expect("poll");
+        assert_eq!(n, 1);
+        assert!(fds[0].woke());
+        assert!(fds[0].revents & POLLIN != 0);
+    }
+
+    #[test]
+    fn wait_readable_times_out_on_an_idle_pair() {
+        let (near, _far) = UnixStream::pair().expect("pair");
+        let mut fds = [PollFd::new(&near)];
+        let n = wait_readable(&mut fds, Duration::from_millis(1)).expect("poll");
+        assert_eq!(n, 0);
+        assert!(!fds[0].woke());
+    }
+
+    #[test]
+    fn wait_readable_reports_hang_up() {
+        let (near, far) = UnixStream::pair().expect("pair");
+        drop(far);
+        let mut fds = [PollFd::new(&near)];
+        let n = wait_readable(&mut fds, Duration::from_secs(10)).expect("poll");
+        assert_eq!(n, 1);
+        assert!(fds[0].revents & POLLHUP != 0);
+    }
 
     #[test]
     fn proc_stats_layout_tripwire() {

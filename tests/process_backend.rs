@@ -90,7 +90,7 @@ fn process_matches_des_fault_free_semantics() {
 #[test]
 fn kill_shard_mid_run_recovers() {
     let w = Workload::fib(16);
-    for at in [3_000u64, 1_000, 300] {
+    for at in [3_000u64, 1_000, 300, 10] {
         let mut cfg = proc_cfg(4, 1);
         cfg.detector_broadcast = false;
         let plan = ProcessFaultPlan::none().kill_shard(1, VirtualTime(at));
@@ -113,7 +113,7 @@ fn kill_shard_mid_run_recovers() {
         // reconnects == 0 means the run finished before the kill landed;
         // retry with an earlier instant.
     }
-    panic!("kill never landed mid-run, even at t=300");
+    panic!("kill never landed mid-run, even at t=10");
 }
 
 /// A corrupted frame must be *detected* (checksum), *counted*
@@ -126,7 +126,7 @@ fn kill_shard_mid_run_recovers() {
 #[test]
 fn garbled_frame_is_detected_and_replayed() {
     let w = Workload::fib(14);
-    for at in [500u64, 150, 40] {
+    for at in [500u64, 150, 40, 0] {
         let mut cfg = proc_cfg(2, 2);
         // Round-robin placement keeps cross-shard traffic flowing for the
         // whole run, so the garble flag is guaranteed to find a frame.
@@ -149,7 +149,7 @@ fn garbled_frame_is_detected_and_replayed() {
         // No decode error means no 0→1 frame followed the arm instant;
         // retry earlier in the run.
     }
-    panic!("garble never found a frame to corrupt, even at t=40");
+    panic!("garble never found a frame to corrupt, even at t=0");
 }
 
 /// A one-directional partition gates outbound frames for its window; the
@@ -176,7 +176,7 @@ fn partition_heals_without_loss() {
 #[test]
 fn killing_every_shard_stalls() {
     let w = Workload::fib(16);
-    for at in [2_000u64, 500, 100] {
+    for at in [2_000u64, 500, 100, 10] {
         let cfg = proc_cfg(2, 1);
         let plan = ProcessFaultPlan::none()
             .kill_shard(0, VirtualTime(at))
@@ -190,7 +190,7 @@ fn killing_every_shard_stalls() {
         assert_eq!(report.result, None);
         return;
     }
-    panic!("every kill landed after completion, even at t=100");
+    panic!("every kill landed after completion, even at t=10");
 }
 
 /// The replicated super-root on real processes: `kill -9` the shard
@@ -205,7 +205,7 @@ fn killing_every_shard_stalls() {
 #[test]
 fn sigkill_of_acting_primary_host_fails_over() {
     let w = Workload::fib(16);
-    for at in [3_000u64, 1_000, 300] {
+    for at in [3_000u64, 1_000, 300, 10] {
         let mut cfg = proc_cfg(4, 1);
         cfg.policy = Policy::RoundRobin;
         let plan = ProcessFaultPlan::none().kill_shard(0, VirtualTime(at));
@@ -225,7 +225,7 @@ fn sigkill_of_acting_primary_host_fails_over() {
         }
         // The run beat the kill; retry earlier.
     }
-    panic!("the kill never deposed the acting primary, even at t=300");
+    panic!("the kill never deposed the acting primary, even at t=10");
 }
 
 /// Asymmetric *inbound* partition of the acting primary's host: the
@@ -239,7 +239,7 @@ fn sigkill_of_acting_primary_host_fails_over() {
 #[test]
 fn inbound_partition_of_primary_host_fails_over() {
     let w = Workload::fib(16);
-    for at in [2_000u64, 600, 150] {
+    for at in [2_000u64, 600, 150, 0] {
         let mut cfg = proc_cfg(2, 1);
         cfg.policy = Policy::RoundRobin;
         cfg.detector_broadcast = false;
@@ -266,7 +266,7 @@ fn inbound_partition_of_primary_host_fails_over() {
         }
         // The run beat the blackout; retry earlier.
     }
-    panic!("the blackout never excommunicated the primary host, even at t=150");
+    panic!("the blackout never excommunicated the primary host, even at t=0");
 }
 
 /// Byte-level socket noise: roughly every other data frame from shard 0
@@ -277,7 +277,7 @@ fn inbound_partition_of_primary_host_fails_over() {
 #[test]
 fn socket_noise_is_detected_and_survived() {
     let w = Workload::fib(14);
-    for at in [500u64, 150, 40] {
+    for at in [500u64, 150, 40, 0] {
         let mut cfg = proc_cfg(2, 2);
         cfg.policy = Policy::RoundRobin;
         let plan = ProcessFaultPlan::none().noise_out(0, 1, VirtualTime(at), 4_000);
@@ -293,7 +293,7 @@ fn socket_noise_is_detected_and_survived() {
         }
         // The window saw no cross-shard frames; retry earlier.
     }
-    panic!("noise never hit a frame, even at t=40");
+    panic!("noise never hit a frame, even at t=0");
 }
 
 /// `Backend::Process` in the replay layer maps a DES-shaped
