@@ -20,6 +20,8 @@
 //! reconnect budget, after which the peer is declared dead and everything
 //! pending bounces into the engines' `on_send_failed` recovery path —
 //! exactly how the DES models a bounced send off a crashed processor.
+//! A dead peer's retained spawns expire their owners' ack timers at once,
+//! so an unacknowledged child is reissued on the death, not 100 ms later.
 //!
 //! A one-directional partition is implemented as *flush gating*: outbound
 //! frames are withheld until the window heals. Under an ARQ transport
@@ -893,9 +895,9 @@ struct Peer {
     pending: VecDeque<OutMsg>,
     /// Every data frame ever written on this link, clean-encoded, indexed
     /// by sequence number. Replayed wholesale on reconnect; the receiver
-    /// deduplicates. Retained for the run's lifetime — runs are short and
-    /// the frames are the protocol's own traffic, so this is the simplest
-    /// correct ARQ.
+    /// deduplicates. Retained until the peer is declared dead — runs are
+    /// short and the frames are the protocol's own traffic, so this is the
+    /// simplest correct ARQ — and then read once by [`expiring_acks`].
     sent: Vec<Vec<u8>>,
     attempts: u32,
     next_attempt: Instant,
@@ -913,6 +915,50 @@ struct Peer {
     /// are randomly corrupted (the clean copy is still retained for
     /// replay, so the link recovers losslessly).
     noise_until: Option<Instant>,
+}
+
+/// What a peer leaves behind when it is declared dead.
+struct Remains {
+    /// Traffic never written: it bounces into `on_send_failed`.
+    pending: Vec<OutMsg>,
+    /// Ack timers the written spawns expire at once ([`expiring_acks`]).
+    expiring: Vec<(ProcId, Timer)>,
+}
+
+impl Peer {
+    /// Declares the peer dead, consuming its queued and retained traffic.
+    fn declare_dead(&mut self) -> Remains {
+        self.dead = true;
+        self.stream = None;
+        Remains {
+            pending: self.pending.drain(..).collect(),
+            expiring: expiring_acks(&std::mem::take(&mut self.sent)),
+        }
+    }
+}
+
+/// The ack timers a dead peer's retained frames expire early: one for
+/// every spawn its sender issued as the parent — not a forwarded packet,
+/// whose parent's own timer covers it, and not a replica. The engine
+/// reissues only a child still unacked under that incarnation, so an
+/// acked, finished or already reissued child makes its timer a no-op. A
+/// frame that does not decode is skipped.
+fn expiring_acks(sent: &[Vec<u8>]) -> Vec<(ProcId, Timer)> {
+    sent.iter()
+        // A whole frame: length word and version byte, body, checksum.
+        .filter_map(|f| decode_wire(f.get(5..f.len().checked_sub(4)?)?).ok())
+        .filter_map(|w| match w {
+            Wire::Data {
+                from,
+                msg: Msg::Spawn(p),
+                ..
+            } if p.parent.addr.proc == from && p.replica.is_none() => Some((
+                from,
+                Timer::ack_timeout(p.parent.addr.key, p.stamp, p.incarnation),
+            )),
+            _ => None,
+        })
+        .collect()
 }
 
 /// All of a worker's outbound links plus the shared counters.
@@ -1025,17 +1071,12 @@ impl Transport {
     }
 
     /// Declares `shard` dead from the outside (coordinator notice),
-    /// returning the pending traffic for bouncing.
-    fn kill_peer(&mut self, shard: u32) -> Vec<OutMsg> {
-        match self.peers[shard as usize].as_mut() {
-            Some(peer) if !peer.dead => {
-                peer.dead = true;
-                peer.stream = None;
-                peer.sent.clear();
-                peer.pending.drain(..).collect()
-            }
-            _ => Vec::new(),
-        }
+    /// returning what it leaves behind; `None` if it was already dead.
+    fn kill_peer(&mut self, shard: u32) -> Option<Remains> {
+        self.peers[shard as usize]
+            .as_mut()
+            .filter(|peer| !peer.dead)
+            .map(Peer::declare_dead)
     }
 
     fn peer_flag(&mut self, shard: u32) -> Option<&mut Peer> {
@@ -1067,8 +1108,8 @@ impl Transport {
 
     /// Pushes queued traffic onto sockets, reconnecting as needed.
     /// Returns peers that exhausted their reconnect budget this call,
-    /// with the traffic that must now bounce.
-    fn flush(&mut self, now: Instant) -> Vec<(u32, Vec<OutMsg>)> {
+    /// with what they leave behind.
+    fn flush(&mut self, now: Instant) -> Vec<(u32, Remains)> {
         let mut died = Vec::new();
         for i in 0..self.peers.len() {
             let Some(mut peer) = self.peers[i].take() else {
@@ -1080,7 +1121,7 @@ impl Transport {
         died
     }
 
-    fn flush_peer(&mut self, peer: &mut Peer, now: Instant, died: &mut Vec<(u32, Vec<OutMsg>)>) {
+    fn flush_peer(&mut self, peer: &mut Peer, now: Instant, died: &mut Vec<(u32, Remains)>) {
         if peer.dead {
             return;
         }
@@ -1165,10 +1206,7 @@ impl Transport {
                 Err(_) => {
                     peer.attempts += 1;
                     if peer.attempts >= self.budget {
-                        peer.dead = true;
-                        peer.sent.clear();
-                        let drained: Vec<OutMsg> = peer.pending.drain(..).collect();
-                        died.push((peer.shard, drained));
+                        died.push((peer.shard, peer.declare_dead()));
                         return;
                     }
                     peer.next_attempt = now + self.backoff(peer.attempts);
@@ -1258,6 +1296,10 @@ struct WorkerCore {
     inbox: VecDeque<(ProcId, Msg)>,
     bounces: VecDeque<(ProcId, ProcId, Msg)>,
     timers: TimerWheel<Instant, (ProcId, Timer)>,
+    /// Ack timers a dead peer's spawns expire early ([`WorkerCore::bury`]).
+    expiring: Vec<(ProcId, Timer)>,
+    /// Inbox entries that must be delivered before `expiring` fires.
+    expire_after: usize,
     transport: Transport,
     coord: UnixStream,
     coord_down: bool,
@@ -1345,6 +1387,22 @@ impl WorkerCore {
                 );
             }
         }
+    }
+
+    /// Takes in what a dead peer left behind. Unsent traffic bounces. The
+    /// early ack timers wait behind everything now in the inbox, the
+    /// death's failure notices included: an engine that reissued before
+    /// hearing of the death could place the twin back on the corpse.
+    fn bury(&mut self, remains: Remains) {
+        for m in remains.pending {
+            if m.from.is_super_root() {
+                self.dropped_to_dead += 1;
+            } else {
+                self.bounces.push_back((m.from, m.to, m.msg));
+            }
+        }
+        self.expiring.extend(remains.expiring);
+        self.expire_after = self.inbox.len();
     }
 
     /// Marks every processor of `shard` dead; returns the procs newly
@@ -1528,6 +1586,8 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
         inbox: VecDeque::new(),
         bounces: VecDeque::new(),
         timers: TimerWheel::new(),
+        expiring: Vec::new(),
+        expire_after: 0,
         transport: Transport::new(dir, shard, shards, nanos, &init, init.seed),
         coord,
         coord_down: false,
@@ -1668,6 +1728,12 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
                 None => break,
             }
         }
+        core.expire_after = core.expire_after.saturating_sub(msgs.len());
+        let expired = if core.expire_after == 0 {
+            std::mem::take(&mut core.expiring)
+        } else {
+            Vec::new()
+        };
         let bns: Vec<(ProcId, ProcId, Msg)> = core.bounces.drain(..).collect();
         {
             let mut sub = worker_stack(&mut core, &mut tracer, init.router_latency);
@@ -1682,6 +1748,12 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
                 nodes[idx].on_message(msg, &mut sub);
                 events += 1;
                 delivered += 1;
+                progressed = true;
+            }
+            for (owner, timer) in expired {
+                let idx = (owner.0 % per_shard) as usize;
+                nodes[idx].on_timer(timer, &mut sub);
+                events += 1;
                 progressed = true;
             }
             for (sender, dead_to, msg) in bns {
@@ -1710,18 +1782,11 @@ pub fn worker_main(dir: &Path, shard: u32) -> i32 {
         }
 
         // Push outbound traffic; handle transport-discovered deaths.
-        for (dead_shard, pendings) in core.transport.flush(Instant::now()) {
-            let newly = core.mark_shard_dead(dead_shard);
-            for m in pendings {
-                if m.from.is_super_root() {
-                    core.dropped_to_dead += 1;
-                } else {
-                    core.bounces.push_back((m.from, m.to, m.msg));
-                }
-            }
-            for p in newly {
+        for (dead_shard, remains) in core.transport.flush(Instant::now()) {
+            for p in core.mark_shard_dead(dead_shard) {
                 core.announce_death(p);
             }
+            core.bury(remains);
             progressed = true;
         }
 
@@ -1846,12 +1911,8 @@ fn handle_worker_frame(
                     let whole = (0..core.per_shard)
                         .all(|j| core.dead[(dead_shard * core.per_shard + j) as usize]);
                     if whole {
-                        for m in core.transport.kill_peer(dead_shard) {
-                            if m.from.is_super_root() {
-                                core.dropped_to_dead += 1;
-                            } else {
-                                core.bounces.push_back((m.from, m.to, m.msg));
-                            }
+                        if let Some(remains) = core.transport.kill_peer(dead_shard) {
+                            core.bury(remains);
                         }
                     }
                 }
@@ -2497,6 +2558,10 @@ fn run_process_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splice_applicative::{Demand, Value};
+    use splice_core::ids::{TaskAddr, TaskKey};
+    use splice_core::packet::{ReplicaInfo, ResultPacket, TaskLink, TaskPacket};
+    use splice_core::stamp::LevelStamp;
     use splice_core::stats::ProcStats;
 
     #[test]
@@ -2663,5 +2728,92 @@ mod tests {
         assert!(matches!(msg, Msg::FailureNotice { dead: ProcId(3) }));
         body.push(0);
         assert!(matches!(decode_wire(&body), Err(CodecError::Trailing)));
+    }
+
+    /// A retained data frame from `from`, exactly as the transport keeps it.
+    fn sent_frame(from: ProcId, msg: Msg) -> Vec<u8> {
+        let w = Wire::Data {
+            seq: 4,
+            from,
+            to: ProcId(13),
+            msg,
+        };
+        let mut body = Vec::new();
+        encode_wire(&w, &mut body);
+        let mut frame = Vec::new();
+        encode_frame(&body, &mut frame);
+        frame
+    }
+
+    fn spawn_of(parent: ProcId, replica: Option<ReplicaInfo>) -> Msg {
+        Msg::spawn(TaskPacket {
+            stamp: LevelStamp::from_digits(&[1, 3]),
+            demand: Demand::new(FnId(0), vec![Value::Int(5)]),
+            parent: TaskLink::new(
+                TaskAddr::new(parent, TaskKey(9)),
+                LevelStamp::from_digits(&[1]),
+            ),
+            ancestors: vec![TaskLink::super_root()],
+            incarnation: 2,
+            hops: 1,
+            replica,
+            under_replica: false,
+        })
+    }
+
+    #[test]
+    fn an_own_spawn_expires_exactly_its_ack_timer() {
+        let me = ProcId(1);
+        let frames = [sent_frame(me, spawn_of(me, None))];
+        let want = Timer::ack_timeout(TaskKey(9), LevelStamp::from_digits(&[1, 3]), 2);
+        assert_eq!(expiring_acks(&frames), vec![(me, want)]);
+    }
+
+    #[test]
+    fn only_own_parent_non_replica_spawns_expire() {
+        let me = ProcId(1);
+        let child = TaskAddr::new(ProcId(13), TaskKey(2));
+        let frames = [
+            // Forwarded: the parent lives elsewhere and has its own timer.
+            sent_frame(me, spawn_of(ProcId(6), None)),
+            sent_frame(me, spawn_of(me, Some(ReplicaInfo { index: 1, total: 3 }))),
+            sent_frame(
+                me,
+                Msg::result(ResultPacket {
+                    from_stamp: LevelStamp::from_digits(&[1, 3]),
+                    demand: Demand::new(FnId(0), vec![Value::Int(5)]),
+                    value: Value::Int(8),
+                    to: child,
+                    to_stamp: LevelStamp::from_digits(&[1]),
+                    relay_chain: vec![],
+                    replica: None,
+                }),
+            ),
+            sent_frame(
+                me,
+                Msg::ack(LevelStamp::from_digits(&[1, 3]), child, child, 0),
+            ),
+            sent_frame(ProcId(8), Msg::FailureNotice { dead: ProcId(8) }),
+        ];
+        assert!(expiring_acks(&frames).is_empty());
+    }
+
+    #[test]
+    fn broken_retained_frames_are_skipped() {
+        let me = ProcId(1);
+        let whole = sent_frame(me, spawn_of(me, None));
+        let mut garbled = whole.clone();
+        garbled[5] = 0xff; // no such wire tag
+        let frames = [
+            Vec::new(),
+            whole[..3].to_vec(),
+            whole[..9].to_vec(),
+            whole[..whole.len() / 2].to_vec(),
+            garbled,
+        ];
+        assert!(expiring_acks(&frames).is_empty());
+        let mut mixed = frames.to_vec();
+        mixed.push(whole);
+        assert_eq!(expiring_acks(&mixed).len(), 1);
     }
 }

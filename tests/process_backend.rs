@@ -20,6 +20,7 @@ use splice::sim::{execute, Backend};
 use splice::simnet::fault::ProcessFaultPlan;
 use splice::simnet::trace::TraceMode;
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn proc_cfg(shards: u32, per_shard: u32) -> ProcConfig {
     let mut c = ProcConfig::new(shards, per_shard);
@@ -114,6 +115,40 @@ fn kill_shard_mid_run_recovers() {
         // retry with an earlier instant.
     }
     panic!("kill never landed mid-run, even at t=10");
+}
+
+/// A SIGKILLed shard's unacknowledged spawns are reissued on its death
+/// notice, not when their ack timers run out. The timeout here is 400 000
+/// units (10 s of wall clock) against a 5 s run budget, so a run that
+/// waited it out would end incomplete.
+///
+/// The kill instant is wall-clock relative; the test retries earlier until
+/// the kill landed mid-run and forced a reissue.
+#[test]
+fn kill_recovery_does_not_wait_for_the_ack_timeout() {
+    let w = Workload::fib(16);
+    for at in [300u64, 100, 30, 10] {
+        let mut cfg = proc_cfg(4, 4);
+        cfg.policy = Policy::RoundRobin;
+        cfg.recovery.ack_timeout = 400_000;
+        cfg.run_timeout = Duration::from_secs(5);
+        let plan = ProcessFaultPlan::none().kill_shard(3, VirtualTime(at));
+        let report = run_process(&cfg, &w, &plan).expect("launch");
+        assert!(
+            report.completed,
+            "kill at t={at} waited out the ack timeout: {report}"
+        );
+        assert_eq!(
+            report.result,
+            Some(w.reference_result().unwrap()),
+            "kill at t={at} produced a wrong answer"
+        );
+        if report.stats.reissues > 0 && report.finish.ticks() > at {
+            return;
+        }
+        // No reissue means the run finished before the kill landed.
+    }
+    panic!("the kill never forced a reissue, even at t=10");
 }
 
 /// A corrupted frame must be *detected* (checksum), *counted*
