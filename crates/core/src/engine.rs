@@ -159,6 +159,14 @@ pub struct Engine {
     created_log: Vec<LevelStamp>,
 }
 
+/// True when an engine built from `config` and `placer` arms a load
+/// beacon in [`Engine::on_start`] — the only action a start can emit. A
+/// driver that defers building idle engines asks this instead of building
+/// one to find out.
+pub fn beacons_on_start(config: &Config, placer: &dyn Placer) -> bool {
+    config.load_beacon_period > 0 && !placer.beacon_targets().is_empty()
+}
+
 impl Engine {
     /// Creates an engine for processor `id`.
     pub fn new(
@@ -249,7 +257,7 @@ impl Engine {
 
     /// Called once when the processor starts; arms periodic beacons.
     pub fn on_start(&mut self, sink: &mut ActionSink) {
-        if self.config.load_beacon_period > 0 && !self.placer.beacon_targets().is_empty() {
+        if beacons_on_start(&self.config, &*self.placer) {
             sink.push(Action::SetTimer {
                 timer: Timer::LoadBeacon,
                 delay: self.config.load_beacon_period,

@@ -4,11 +4,13 @@
 //! reactor over its partition of the engines ([`PumpSubstrate`]: per-engine
 //! mailboxes, a ready queue with waker flags, [`TimerWheel`]s for engine
 //! timers and delayed sends) — so the engine count is bounded by memory,
-//! not by the OS. A single pump runs inline on the caller's thread: that
-//! configuration *is* the single-thread reactor. Cross-reactor sends travel
-//! over per-pair bounded channels (the crossbeam shim) as [`Transfer`]
-//! envelopes; the envelope buffers are pooled and recycled between peers,
-//! so steady-state cross-reactor traffic does not allocate per send.
+//! not by the OS. A hosted engine's driver loop is built only when the
+//! engine first has to act; until then its slot holds just its placer. A
+//! single pump runs inline on the caller's thread: that configuration *is*
+//! the single-thread reactor. Cross-reactor sends travel over per-pair
+//! bounded channels (the crossbeam shim) as [`Transfer`] envelopes; the
+//! envelope buffers are pooled and recycled between peers, so
+//! steady-state cross-reactor traffic does not allocate per send.
 //!
 //! Execution is organised as *rounds* separated by barriers — a BSP-style
 //! virtual-clock barrier protocol. Within a round each pump drains its
@@ -39,9 +41,12 @@ use crate::substrate::{corrupt_value, Substrate};
 use crate::timer::TimerWheel;
 use crate::trace::TracingSubstrate;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use splice_core::engine::Timer;
+use splice_applicative::Program;
+use splice_core::config::Config;
+use splice_core::engine::{beacons_on_start, Timer};
 use splice_core::ids::ProcId;
 use splice_core::packet::Msg;
+use splice_core::place::Placer;
 use splice_core::sink::ActionSink;
 use splice_simnet::trace::{TraceMode, Tracer};
 use std::collections::VecDeque;
@@ -528,8 +533,10 @@ pub struct RoundOutput {
 
 /// Aggregate a pump returns when the run finishes.
 pub struct PumpHarvest {
-    /// Hosted engines (id ascending) for report assembly. Boxed — a
-    /// 16k-engine harvest hands over pointers, not kilobyte moves.
+    /// Hosted engines that were ever built (id ascending) for report
+    /// assembly; an engine missing here never received an input, so its
+    /// snapshot is a fresh engine's. Boxed — a large harvest hands over
+    /// pointers, not kilobyte moves.
     pub engines: Vec<(u32, Box<DriverLoop>)>,
     /// Messages consumed from hosted mailboxes.
     pub delivered: u64,
@@ -549,14 +556,70 @@ pub struct PumpHarvest {
     pub tracer: Tracer,
 }
 
+/// One engine slot of a pump.
+enum Cell {
+    /// Hosted by another pump.
+    Away,
+    /// Hosted here but not stimulated yet: only the placer its engine
+    /// will be built with. A driver loop is 1 216 B, and in a large fleet
+    /// most engines never receive a message.
+    Pending(Box<dyn Placer>),
+    /// Hosted here and built. Boxed so a slot is one pointer and
+    /// migrations move the box, not the engine state.
+    Live(Box<DriverLoop>),
+}
+
+/// A pump's engine slots, indexed by engine id over the full roster, and
+/// what it takes to build a pending one.
+struct Cells {
+    slots: Vec<Cell>,
+    program: Arc<Program>,
+    config: Config,
+}
+
+impl Cells {
+    /// The driver loop of hosted engine `p`, built from its placer on
+    /// first use; `None` when another pump hosts `p`. Building late is
+    /// invisible: an engine's state depends only on the inputs it has
+    /// received, and a pending engine has received none.
+    fn materialize(&mut self, p: ProcId) -> Option<&mut DriverLoop> {
+        let slot = &mut self.slots[p.0 as usize];
+        if let Cell::Pending(_) = slot {
+            let Cell::Pending(placer) = std::mem::replace(slot, Cell::Away) else {
+                unreachable!("slot was pending");
+            };
+            *slot = Cell::Live(Box::new(DriverLoop::new(
+                p,
+                self.program.clone(),
+                self.config.clone(),
+                placer,
+            )));
+        }
+        match slot {
+            Cell::Live(node) => Some(node),
+            _ => None,
+        }
+    }
+
+    /// Removes hosted engine `p` for migration, built first if it was
+    /// pending; `None` when another pump hosts `p`.
+    fn take(&mut self, p: ProcId) -> Option<DriverLoop> {
+        self.materialize(p)?;
+        match std::mem::replace(&mut self.slots[p.0 as usize], Cell::Away) {
+            Cell::Live(node) => Some(*node),
+            Cell::Away | Cell::Pending(_) => unreachable!("materialized engine is live"),
+        }
+    }
+}
+
 /// One reactor pump: a partition of the engines, their substrate stack,
 /// and the per-pair links to every peer pump.
 pub struct Pump {
     id: u32,
-    /// Hosted driver loops, indexed by engine id over the full roster
-    /// (`None` at slots other pumps host). Boxed so a slot is one pointer
-    /// and migrations move the box, not the engine state.
-    cells: Vec<Option<Box<DriverLoop>>>,
+    /// Hosted engines, built lazily: a slot holds only its placer until
+    /// the engine first has to act (a message, a bounce, a migration, or a
+    /// start that arms a load beacon).
+    cells: Cells,
     sub: PumpStack,
     /// Envelope senders, index = peer pump (own slot unused).
     links_tx: Vec<Option<Sender<Vec<Transfer>>>>,
@@ -568,15 +631,19 @@ pub struct Pump {
 }
 
 impl Pump {
-    /// Builds pump `id` of `n_pumps` hosting `engines`, with the standard
-    /// decorator stack (`map`/`router_latency` for the shard router,
-    /// `batch_window` for the bus) over the pump substrate.
+    /// Builds pump `id` of `n_pumps` hosting the engines in `placers`,
+    /// each to be built on first use from its placer, `program` and
+    /// `config`, with the standard decorator stack (`map`/`router_latency`
+    /// for the shard router, `batch_window` for the bus) over the pump
+    /// substrate.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: u32,
         n_pumps: u32,
         cluster: Arc<ClusterMap>,
-        engines: Vec<(ProcId, Box<DriverLoop>)>,
+        placers: Vec<(ProcId, Box<dyn Placer>)>,
+        program: Arc<Program>,
+        config: Config,
         map: ShardMap,
         router_latency: u64,
         batch_window: u64,
@@ -584,14 +651,18 @@ impl Pump {
     ) -> Pump {
         let n = cluster.n() as usize;
         let mut core = PumpSubstrate::new(cluster, n_pumps);
-        let mut cells: Vec<Option<Box<DriverLoop>>> = (0..n).map(|_| None).collect();
-        for (p, node) in engines {
+        let mut slots: Vec<Cell> = (0..n).map(|_| Cell::Away).collect();
+        for (p, placer) in placers {
             core.hosted[p.0 as usize] = true;
-            cells[p.0 as usize] = Some(node);
+            slots[p.0 as usize] = Cell::Pending(placer);
         }
         Pump {
             id,
-            cells,
+            cells: Cells {
+                slots,
+                program,
+                config,
+            },
             sub: ShardRouter::new(
                 BatchingSubstrate::new(
                     TracingSubstrate::new(core, Tracer::new(trace)),
@@ -629,7 +700,7 @@ impl Pump {
         if node.has_ready() || self.sub.mail_len(proc) > 0 {
             self.sub.wake(proc);
         }
-        self.cells[proc.0 as usize] = Some(Box::new(node));
+        self.cells.slots[proc.0 as usize] = Cell::Live(Box::new(node));
     }
 
     /// Extracts up to `count` ready engines and ships them to `dest`,
@@ -639,7 +710,7 @@ impl Pump {
             let Some(p) = self.sub.pop_ready_back() else {
                 break;
             };
-            let Some(node) = self.cells[p.0 as usize].take() else {
+            let Some(node) = self.cells.take(p) else {
                 continue;
             };
             self.sub.hosted[p.0 as usize] = false;
@@ -654,7 +725,7 @@ impl Pump {
                 .collect();
             self.sub.outbox[dest as usize].push(Transfer::Engine(Box::new(Migration {
                 proc: p,
-                node: *node,
+                node,
                 mail,
                 timers,
             })));
@@ -678,13 +749,21 @@ impl Pump {
         } = inp;
         if !self.started {
             self.started = true;
-            for p in 0..self.cells.len() {
-                let Some(node) = self.cells[p].as_deref_mut() else {
+            // Only an engine whose start arms a load beacon is built now;
+            // every other start would emit nothing, so its engine waits
+            // for its first input.
+            for p in 0..self.cells.slots.len() {
+                let Cell::Pending(placer) = &self.cells.slots[p] else {
                     continue;
                 };
+                if !beacons_on_start(&self.cells.config, &**placer) {
+                    continue;
+                }
+                let p = ProcId(p as u32);
+                let node = self.cells.materialize(p).expect("pending engine is hosted");
                 node.start(&mut self.sub);
-                if node.has_ready() || self.sub.mail_len(ProcId(p as u32)) > 0 {
-                    self.sub.wake(ProcId(p as u32));
+                if node.has_ready() || self.sub.mail_len(p) > 0 {
+                    self.sub.wake(p);
                 }
             }
         }
@@ -716,7 +795,7 @@ impl Pump {
         // pump's own live engines (the coordinator notifies the
         // super-root once, on its side of the barrier).
         for &v in &kills {
-            if self.cells[v.0 as usize].is_some() {
+            if self.sub.hosted[v.0 as usize] {
                 self.sub.kill_local(v);
             }
             self.sub.announce_death(v);
@@ -728,7 +807,7 @@ impl Pump {
             if !self.sub.cluster.is_live(owner) {
                 continue;
             }
-            let Some(node) = self.cells[owner.0 as usize].as_deref_mut() else {
+            let Some(node) = self.cells.materialize(owner) else {
                 continue;
             };
             node.on_timer(timer, &mut self.sub);
@@ -751,9 +830,7 @@ impl Pump {
                 break;
             };
             turns += 1;
-            let node = self.cells[p.0 as usize]
-                .as_deref_mut()
-                .expect("ready engine is hosted");
+            let node = self.cells.materialize(p).expect("ready engine is hosted");
             for _ in 0..self.sub.mail_len(p) {
                 let Some(ib) = self.sub.pop_inbound(p) else {
                     break;
@@ -808,7 +885,8 @@ impl Pump {
         }
     }
 
-    /// Dismantles the pump into its harvest.
+    /// Dismantles the pump into its harvest: the engines that were built,
+    /// and this pump's counters.
     pub fn harvest(self) -> PumpHarvest {
         let Pump { cells, mut sub, .. } = self;
         let shard_stats = sub.stats().clone();
@@ -824,9 +902,13 @@ impl Pump {
         );
         PumpHarvest {
             engines: cells
+                .slots
                 .into_iter()
                 .enumerate()
-                .filter_map(|(p, slot)| slot.map(|node| (p as u32, node)))
+                .filter_map(|(p, slot)| match slot {
+                    Cell::Live(node) => Some((p as u32, node)),
+                    Cell::Away | Cell::Pending(_) => None,
+                })
                 .collect(),
             delivered,
             dropped_to_dead,
@@ -1227,6 +1309,70 @@ mod tests {
         sub.report_death(ProcId(1));
         assert_eq!(sub.backlog, 0, "deaths are silent");
         assert_eq!(sub.pop_ready(), None);
+    }
+
+    /// One pump hosting all `n` engines, each built on first use from
+    /// `placer(p)`, running fib(5) under `beacon_period`.
+    fn lazy_pump(n: u32, beacon_period: u64, placer: impl Fn(ProcId) -> Box<dyn Placer>) -> Pump {
+        let cluster = Arc::new(ClusterMap::new(n, true, |_| 0));
+        let config = Config {
+            load_beacon_period: beacon_period,
+            ..Config::default()
+        };
+        Pump::new(
+            0,
+            1,
+            cluster,
+            (0..n).map(|p| (ProcId(p), placer(ProcId(p)))).collect(),
+            Arc::new(splice_applicative::Workload::fib(5).program),
+            config,
+            ShardMap::new(1, n),
+            0,
+            0,
+            TraceMode::Off,
+        )
+    }
+
+    fn round(pump: &mut Pump, inject: Vec<Transfer>) {
+        pump.run_round(RoundInput {
+            now: 0,
+            kills: Vec::new(),
+            inject,
+            donate: None,
+            sr_mail_buf: Vec::new(),
+            donated_buf: Vec::new(),
+        });
+    }
+
+    fn built(pump: Pump) -> Vec<u32> {
+        pump.harvest().engines.iter().map(|(p, _)| *p).collect()
+    }
+
+    #[test]
+    fn idle_engines_are_never_built() {
+        use splice_core::place::RoundRobinPlacer;
+        use splice_gradient::{GradientConfig, GradientPlacer};
+        let n = 16;
+        // Round-robin without beacons: a start emits nothing, so only the
+        // two engines that receive a message are ever built.
+        let all: Arc<[ProcId]> = (0..n).map(ProcId).collect();
+        let mut pump = lazy_pump(n, 0, |_| Box::new(RoundRobinPlacer::new(all.clone())));
+        let probe = |to| Transfer::Deliver {
+            from: ProcId::SUPER_ROOT,
+            to: ProcId(to),
+            msg: Msg::Probe,
+        };
+        round(&mut pump, vec![probe(3), probe(11)]);
+        round(&mut pump, Vec::new());
+        assert_eq!(built(pump), vec![3, 11]);
+        // Gradient with beacons: every start arms a beacon, so every
+        // hosted engine is built in the first round, input or not.
+        let mut pump = lazy_pump(n, 20, |p| {
+            let ring = vec![ProcId((p.0 + n - 1) % n), ProcId((p.0 + 1) % n)];
+            Box::new(GradientPlacer::new(p, ring, GradientConfig::default()))
+        });
+        round(&mut pump, Vec::new());
+        assert_eq!(built(pump), (0..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use splice_core::stats::ProcStats;
 /// Everything one engine contributes to a run report, captured at (or
 /// after) shutdown. The runtime's workers produce these across threads;
 /// the simulator reads its engines in place.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineSnapshot {
     /// Protocol statistics.
     pub stats: ProcStats,
@@ -50,7 +50,11 @@ pub struct EngineTotals {
 impl EngineTotals {
     /// Aggregates snapshots in processor order.
     pub fn collect<I: IntoIterator<Item = EngineSnapshot>>(snapshots: I) -> EngineTotals {
-        let mut totals = EngineTotals::default();
+        let snapshots = snapshots.into_iter();
+        let mut totals = EngineTotals {
+            per_proc: Vec::with_capacity(snapshots.size_hint().0),
+            ..EngineTotals::default()
+        };
         for snap in snapshots {
             totals.stats += &snap.stats;
             totals.per_proc.push(snap.stats);
@@ -82,5 +86,33 @@ mod tests {
         assert_eq!(t.ckpt_peak_entries, 2);
         assert_eq!(t.ckpt_peak_bytes, 7);
         assert_eq!(t.ckpt_stored, 5);
+    }
+
+    /// The parallel reactor reports an engine it never built as the
+    /// default snapshot; that is only sound while a fresh engine's
+    /// snapshot is exactly the default.
+    #[test]
+    fn a_fresh_engine_snapshots_as_the_default() {
+        use splice_applicative::Workload;
+        use splice_core::config::Config;
+        use splice_core::ids::ProcId;
+        use splice_core::place::SelfPlacer;
+        use std::sync::Arc;
+        let here = ProcId(3);
+        let fresh = Engine::new(
+            here,
+            Arc::new(Workload::fib(5).program),
+            Config::default(),
+            Box::new(SelfPlacer { here }),
+        );
+        assert_eq!(EngineSnapshot::of(&fresh), EngineSnapshot::default());
+    }
+
+    #[test]
+    fn totals_reserve_from_the_size_hint() {
+        let t = EngineTotals::collect((0..40).map(|_| EngineSnapshot::default()));
+        assert_eq!(t.per_proc.len(), 40);
+        // Grown by doubling from empty, 40 entries would end at 64.
+        assert!(t.per_proc.capacity() < 64, "reserved from the hint");
     }
 }
