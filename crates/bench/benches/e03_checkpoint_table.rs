@@ -1,88 +1,50 @@
-//! E3 — checkpoint table operations (§3.2): the store/ack/retire lifecycle
-//! and recovery-candidate selection with the topmost rule vs. reissue-all.
+//! E3 — recovery-candidate selection (§3.2): the topmost rule vs.
+//! reissue-all over the checkpoints filed under one dead destination.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use splice_applicative::wave::Demand;
-use splice_applicative::{FnId, Value};
 use splice_bench::criterion as tuned;
-use splice_core::checkpoint::CheckpointTable;
+use splice_core::checkpoint::select_for_recovery;
 use splice_core::config::CheckpointFilter;
-use splice_core::ids::{ProcId, TaskAddr, TaskKey};
-use splice_core::packet::{TaskLink, TaskPacket};
+use splice_core::ids::TaskKey;
 use splice_core::stamp::LevelStamp;
 
-fn packet(stamp: LevelStamp) -> TaskPacket {
-    TaskPacket {
-        stamp,
-        demand: Demand::new(FnId(0), vec![Value::Int(7)]),
-        parent: TaskLink::new(TaskAddr::new(ProcId(0), TaskKey(0)), LevelStamp::root()),
-        ancestors: vec![TaskLink::super_root()],
-        incarnation: 0,
-        hops: 0,
-        replica: None,
-        under_replica: false,
-    }
-}
-
-/// A table with `n` checkpoints spread over 8 destinations, with nested
-/// subtrees so the topmost rule has real work to do.
-fn loaded_table(n: usize) -> CheckpointTable {
-    let mut t = CheckpointTable::new();
+/// The entry for one dead destination: 256 live checkpoints with nested
+/// subtrees so the topmost rule has real work to do, in scan order.
+fn dead_entry() -> Vec<(LevelStamp, TaskKey)> {
     let mut stamp = LevelStamp::root().child(1);
-    for i in 0..n {
+    let mut entry = Vec::new();
+    for i in 0..256 {
         if i % 4 == 0 {
             stamp = LevelStamp::root().child((i % 97 + 1) as u32);
         } else {
             stamp = stamp.child((i % 3 + 1) as u32);
         }
-        let owner = TaskKey((i % 64) as u64);
-        t.store(owner, packet(stamp.clone()));
-        t.on_ack(owner, &stamp, ProcId((i % 8) as u32));
+        entry.push((stamp.clone(), TaskKey((i % 64) as u64)));
     }
-    t
+    entry
 }
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e03_checkpoint_table");
 
-    g.bench_function("store_ack_retire_cycle", |b| {
-        b.iter_batched(
-            CheckpointTable::new,
-            |mut t| {
-                let s = LevelStamp::from_digits(&[1, 2, 3]);
-                t.store(TaskKey(1), packet(s.clone()));
-                t.on_ack(TaskKey(1), &s, ProcId(3));
-                t.retire(TaskKey(1), &s);
-                t
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    let table = loaded_table(1024);
-    g.bench_function("recover_topmost_1024", |b| {
-        b.iter(|| {
-            table
-                .recover_candidates(ProcId(3), CheckpointFilter::Topmost)
-                .len()
-        })
-    });
-    g.bench_function("recover_all_1024", |b| {
-        b.iter(|| {
-            table
-                .recover_candidates(ProcId(3), CheckpointFilter::All)
-                .len()
-        })
-    });
+    let entry = dead_entry();
+    for (name, filter) in [
+        ("recover_topmost_256", CheckpointFilter::Topmost),
+        ("recover_all_256", CheckpointFilter::All),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || entry.clone(),
+                |e| select_for_recovery(e, filter).len(),
+                BatchSize::SmallInput,
+            )
+        });
+    }
 
     // The topmost rule reduces the reissue set — report the ratio once so
     // the bench log doubles as the E3 data point.
-    let top = table
-        .recover_candidates(ProcId(3), CheckpointFilter::Topmost)
-        .len();
-    let all = table
-        .recover_candidates(ProcId(3), CheckpointFilter::All)
-        .len();
+    let top = select_for_recovery(entry.clone(), CheckpointFilter::Topmost).len();
+    let all = select_for_recovery(entry, CheckpointFilter::All).len();
     assert!(top <= all);
     println!("e03: topmost reissues {top} of {all} live checkpoints for the dead destination");
     g.finish();

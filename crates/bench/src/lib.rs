@@ -1,6 +1,6 @@
 //! Shared helpers for the experiment benches.
 //!
-//! One bench target exists per experiment of DESIGN.md §4 (E1–E12): the
+//! Bench targets follow the experiments of `splice_sim::experiment`: the
 //! benches time the runs whose *measurements* the `experiments` binary
 //! prints, so regressions in either speed or protocol behaviour surface in
 //! `cargo bench`.

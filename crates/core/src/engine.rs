@@ -30,8 +30,8 @@
 //! grandchildren and asserts that the parent of these grandchildren is
 //! faulty" (§4.1).
 
-use crate::checkpoint::CheckpointTable;
-use crate::config::{Config, RecoveryMode};
+use crate::checkpoint::{select_for_recovery, CheckpointTable};
+use crate::config::{CheckpointFilter, Config, RecoveryMode};
 use crate::ids::{ProcId, TaskAddr, TaskKey};
 use crate::packet::{
     AckInfo, CkptPacket, Msg, ReplicaInfo, ResultPacket, SalvagePacket, TaskLink, TaskPacket,
@@ -159,6 +159,33 @@ pub struct Engine {
     created_log: Vec<LevelStamp>,
 }
 
+/// Builds the packet for child `stamp` of `owner` on this processor `id`:
+/// the spawn and every reissue of the child go through here, so a twin's
+/// packet equals the original but for `incarnation`. `links` is how many
+/// ancestor links beyond the parent the packet carries.
+fn child_packet(
+    id: ProcId,
+    owner: &Task,
+    links: usize,
+    stamp: LevelStamp,
+    demand: Demand,
+    incarnation: u32,
+) -> TaskPacket {
+    TaskPacket {
+        stamp,
+        demand,
+        parent: TaskLink::new(TaskAddr::new(id, owner.key), owner.stamp.clone()),
+        ancestors: std::iter::once(owner.parent.clone())
+            .chain(owner.ancestors.iter().cloned())
+            .take(links)
+            .collect(),
+        incarnation,
+        hops: 0,
+        replica: None,
+        under_replica: owner.under_replica,
+    }
+}
+
 /// True when an engine built from `config` and `placer` arms a load
 /// beacon in [`Engine::on_start`] — the only action a start can emit. A
 /// driver that defers building idle engines asks this instead of building
@@ -230,7 +257,7 @@ impl Engine {
         &self.stats
     }
 
-    /// The checkpoint table (for inspection by tests and reports).
+    /// The checkpoint counters (for inspection by tests and reports).
     pub fn checkpoints(&self) -> &CheckpointTable {
         &self.ckpt
     }
@@ -297,6 +324,15 @@ impl Engine {
     fn send(&mut self, sink: &mut ActionSink, to: ProcId, msg: Msg) {
         self.stats.sent(msg.kind(), msg.size());
         sink.push(Action::Send { to, msg });
+    }
+
+    /// Retires the live checkpoints of a task leaving this processor.
+    fn retire_checkpoints(&mut self, task: &mut Task) {
+        for ci in task.children.values_mut() {
+            if let Some(cp) = ci.ckpt.take() {
+                self.ckpt.retire(cp);
+            }
+        }
     }
 
     // -----------------------------------------------------------------
@@ -573,7 +609,12 @@ impl Engine {
         };
         if newer {
             ci.acked = Some((child_addr, incarnation));
-            self.ckpt.on_ack(parent.key, &child_stamp, child_addr.proc);
+            // File the checkpoint under the acking processor, also for a
+            // late ack of an older incarnation (whose `current_addr()` is
+            // empty): that processor's death still reissues the child.
+            if let Some(cp) = ci.ckpt.as_mut() {
+                cp.dest = Some(child_addr.proc);
+            }
             // Flush salvages that were waiting for a location.
             let pending = std::mem::take(&mut ci.pending_salvages);
             for mut sp in pending {
@@ -646,21 +687,8 @@ impl Engine {
         let (packet, replica_spec, salvages) = {
             let task = self.tasks.get_mut(&owner).expect("owner exists");
             let stamp = task.next_child_stamp();
-            let parent_link = TaskLink::new(TaskAddr::new(self.id, owner), task.stamp.clone());
-            let ancestors: Vec<TaskLink> = std::iter::once(task.parent.clone())
-                .chain(task.ancestors.iter().cloned())
-                .take(self.config.links_beyond_parent())
-                .collect();
-            let packet = TaskPacket {
-                stamp: stamp.clone(),
-                demand: demand.clone(),
-                parent: parent_link,
-                ancestors,
-                incarnation: 0,
-                hops: 0,
-                replica: None,
-                under_replica: task.under_replica,
-            };
+            let links = self.config.links_beyond_parent();
+            let packet = child_packet(self.id, task, links, stamp, demand.clone(), 0);
             // Nothing inside a replica's subtree is re-replicated: the
             // whole critical section already executes once per replica.
             let replica_spec = if task.under_replica {
@@ -668,7 +696,7 @@ impl Engine {
             } else {
                 self.config.replicate.get(&demand.fun).copied()
             };
-            let salvages = task.take_future_salvages_for(&stamp);
+            let salvages = task.take_future_salvages_for(&packet.stamp);
             (packet, replica_spec, salvages)
         };
         self.stats.spawns_emitted += 1;
@@ -706,12 +734,17 @@ impl Engine {
                     }),
                     twin_pending: false,
                     lost: false,
+                    ckpt: None,
                 });
             }
             None => {
-                if self.config.mode.checkpoints() {
-                    self.ckpt.store(owner, packet.clone());
-                }
+                // The functional checkpoint: the child record below keeps
+                // everything needed to rebuild this packet.
+                let ckpt = self
+                    .config
+                    .mode
+                    .checkpoints()
+                    .then(|| self.ckpt.store(packet.size()));
                 let dest = self.placer.place(&packet, &self.known_dead);
                 let task = self.tasks.get_mut(&owner).expect("owner exists");
                 task.register_child(ChildInfo {
@@ -724,6 +757,7 @@ impl Engine {
                     vote: None,
                     twin_pending: false,
                     lost: false,
+                    ckpt,
                 });
                 sink.push(Action::SetTimer {
                     timer: Timer::ack_timeout(owner, packet.stamp.clone(), 0),
@@ -743,7 +777,7 @@ impl Engine {
         }
         debug_assert!(task.all_children_done());
         // Safety net: any checkpoint not retired through the normal paths.
-        self.ckpt.retire_owner(key);
+        self.retire_checkpoints(&mut task);
         self.stats.tasks_completed += 1;
 
         // The frame is being retired: move its links and arguments into
@@ -767,11 +801,11 @@ impl Engine {
     }
 
     fn drop_task(&mut self, key: TaskKey) {
-        if let Some(task) = self.tasks.remove(&key) {
+        if let Some(mut task) = self.tasks.remove(&key) {
             if self.by_stamp.get(&task.stamp) == Some(&key) {
                 self.by_stamp.remove(&task.stamp);
             }
-            self.ckpt.retire_owner(key);
+            self.retire_checkpoints(&mut task);
             self.recycle_task(task);
         }
     }
@@ -873,7 +907,9 @@ impl Engine {
             // the super-root, which keeps the whole program anyway.
             let entry = (every > 0 && !task.parent.addr.proc.is_super_root())
                 .then(|| (ci.demand.clone(), value.clone()));
-            self.ckpt.retire(owner, stamp);
+            if let Some(cp) = ci.ckpt.take() {
+                self.ckpt.retire(cp);
+            }
             // `ci` borrows `task.children`; the eval is a disjoint field, so
             // the demand is passed by reference instead of cloned per result.
             if !task.eval.supply(&ci.demand, value) {
@@ -913,15 +949,35 @@ impl Engine {
     /// Handles an incremental re-checkpoint report: append the entries to
     /// the live checkpoint the reporting task's frame is stored under.
     fn on_ckpt(&mut self, cp: CkptPacket) {
-        if cp.owner.proc != self.id
-            || !self
-                .ckpt
-                .add_preloads(cp.owner.key, &cp.from_stamp, cp.entries)
-        {
+        let live = if cp.owner.proc == self.id {
+            self.tasks
+                .get_mut(&cp.owner.key)
+                .and_then(|t| t.children.get_mut(&cp.from_stamp))
+                .and_then(|ci| ci.ckpt.as_mut())
+        } else {
+            None
+        };
+        match live {
+            Some(ckpt) => self.ckpt.add_preloads(ckpt, cp.entries),
             // The owner moved on (twin elsewhere, checkpoint retired):
             // applicative determinism makes the loss benign.
-            self.stats.stale_messages_ignored += 1;
+            None => self.stats.stale_messages_ignored += 1,
         }
+    }
+
+    /// The §3.2 table entry for `dead`, built on discovery: every live
+    /// checkpoint whose child the dead processor acknowledged, as
+    /// `(child stamp, owner)` pairs in no particular order.
+    fn checkpoints_filed_under(&self, dead: ProcId) -> Vec<(LevelStamp, TaskKey)> {
+        let mut entry = Vec::new();
+        for (key, task) in &self.tasks {
+            for (stamp, ci) in &task.children {
+                if ci.ckpt.as_ref().is_some_and(|cp| cp.dest == Some(dead)) {
+                    entry.push((stamp.clone(), *key));
+                }
+            }
+        }
+        entry
     }
 
     // -----------------------------------------------------------------
@@ -966,14 +1022,12 @@ impl Engine {
                 }
                 let eager = self.policy.eager_on_death();
                 let mut lazy_owners: Vec<TaskKey> = Vec::new();
-                for cp in self.ckpt.recover_candidates(dead, self.config.ckpt_filter) {
-                    if !self.tasks.contains_key(&cp.owner) {
-                        continue;
-                    }
+                let entry = self.checkpoints_filed_under(dead);
+                for (stamp, owner) in select_for_recovery(entry, self.config.ckpt_filter) {
                     if eager {
-                        self.reissue_child(cp.owner, &cp.packet.stamp, sink);
-                    } else if self.mark_lost(cp.owner, &cp.packet.stamp) {
-                        lazy_owners.push(cp.owner);
+                        self.reissue_child(owner, &stamp, sink);
+                    } else if self.mark_lost(owner, &stamp) {
+                        lazy_owners.push(owner);
                     }
                 }
                 for owner in lazy_owners {
@@ -989,34 +1043,29 @@ impl Engine {
                 let grace = self.config.splice_grace;
                 let eager = self.policy.eager_on_death();
                 let mut lazy_owners: Vec<TaskKey> = Vec::new();
-                for cp in self
-                    .ckpt
-                    .recover_candidates(dead, crate::config::CheckpointFilter::All)
-                {
-                    if !self.tasks.contains_key(&cp.owner) {
-                        continue;
-                    }
+                let entry = self.checkpoints_filed_under(dead);
+                for (stamp, owner) in select_for_recovery(entry, CheckpointFilter::All) {
                     if !eager {
                         // Lazy: no proactive twin — the subtree is rebuilt
                         // only when the owner's progress demands it. Orphan
                         // fragments keep computing; their salvages land in
                         // `pending_salvages` and flow to an eventual twin.
-                        if self.mark_lost(cp.owner, &cp.packet.stamp) {
-                            lazy_owners.push(cp.owner);
+                        if self.mark_lost(owner, &stamp) {
+                            lazy_owners.push(owner);
                         }
                     } else if grace == 0 {
                         self.stats.step_parents_created += 1;
-                        self.reissue_child(cp.owner, &cp.packet.stamp, sink);
+                        self.reissue_child(owner, &stamp, sink);
                     } else {
                         if let Some(ci) = self
                             .tasks
-                            .get_mut(&cp.owner)
-                            .and_then(|t| t.children.get_mut(&cp.packet.stamp))
+                            .get_mut(&owner)
+                            .and_then(|t| t.children.get_mut(&stamp))
                         {
                             ci.twin_pending = true;
                         }
                         sink.push(Action::SetTimer {
-                            timer: Timer::grace_reissue(cp.owner, cp.packet.stamp.clone()),
+                            timer: Timer::grace_reissue(owner, stamp),
                             delay: grace,
                         });
                     }
@@ -1170,8 +1219,10 @@ impl Engine {
         }
     }
 
-    /// Re-issues a (non-replicated) child from its functional checkpoint.
-    /// In splice mode this is exactly step-parent/twin creation.
+    /// Re-issues a (non-replicated) child from its functional checkpoint:
+    /// the packet is rebuilt from the child record and its owner, equal to
+    /// the spawned one but for the incarnation. In splice mode this is
+    /// exactly step-parent/twin creation.
     fn reissue_child(&mut self, owner: TaskKey, stamp: &LevelStamp, sink: &mut ActionSink) {
         let Some(task) = self.tasks.get_mut(&owner) else {
             return;
@@ -1184,12 +1235,16 @@ impl Engine {
         }
         ci.incarnation += 1;
         let incarnation = ci.incarnation;
-        self.ckpt.on_reissue(owner, stamp);
-        let Some(cp) = self.ckpt.get(owner, stamp) else {
+        if ci.ckpt.is_none() {
             return;
-        };
-        let mut packet = cp.packet.clone();
-        packet.incarnation = incarnation;
+        }
+        let demand = ci.demand.clone();
+        let links = self.config.links_beyond_parent();
+        let packet = child_packet(self.id, task, links, stamp.clone(), demand, incarnation);
+        let ci = task.children.get_mut(stamp).expect("child looked up above");
+        let cp = ci.ckpt.as_mut().expect("checkpoint checked above");
+        // Pending again: the destination is unknown until the new ACK.
+        cp.dest = None;
         // Hand incremental re-checkpoint entries (MultiCheckpoint) to the
         // twin as parked salvages: they flow out on the twin's placement
         // ACK like any salvage. The stored preloads are cloned, NOT
@@ -1472,13 +1527,13 @@ impl Engine {
     }
 
     fn abort_cascade(&mut self, key: TaskKey, sink: &mut ActionSink) {
-        let Some(task) = self.tasks.remove(&key) else {
+        let Some(mut task) = self.tasks.remove(&key) else {
             return;
         };
         if self.by_stamp.get(&task.stamp) == Some(&key) {
             self.by_stamp.remove(&task.stamp);
         }
-        self.ckpt.retire_owner(key);
+        self.retire_checkpoints(&mut task);
         for ci in task.children.values() {
             if ci.done {
                 continue;
@@ -1800,5 +1855,194 @@ mod tests {
             sink.drain_to_vec().is_empty(),
             "paper default: an acked child is trusted until a notice or bounce"
         );
+    }
+
+    /// Accepts the root on an engine that places every child on
+    /// `ProcId(1)` and runs the root's first wave, returning the engine
+    /// and the child packets that wave spawned.
+    fn first_wave_spawns(mode: RecoveryMode) -> (Engine, Vec<TaskPacket>) {
+        let w = Workload::fib(6);
+        let mut cfg = Config::with_mode(mode);
+        cfg.load_beacon_period = 0;
+        let mut e = Engine::new(
+            ProcId(0),
+            Arc::new(w.program.clone()),
+            cfg,
+            Box::new(PeerPlacer(ProcId(1))),
+        );
+        let mut sink = ActionSink::new();
+        e.on_message(Msg::spawn(root_packet(&w)), &mut sink);
+        let key = e.pop_ready().expect("root accepted");
+        e.run_wave(key, &mut sink);
+        let spawns: Vec<TaskPacket> = sink.drain().filter_map(spawned).collect();
+        assert!(spawns.len() >= 2, "fib's root demands two children");
+        (e, spawns)
+    }
+
+    fn spawned(a: Action) -> Option<TaskPacket> {
+        match a {
+            Action::Send {
+                msg: Msg::Spawn(p), ..
+            } => Some(*p),
+            _ => None,
+        }
+    }
+
+    /// Acks child packet `p` as placed on `host`.
+    fn ack_from(e: &mut Engine, p: &TaskPacket, host: ProcId) {
+        let addr = TaskAddr::new(host, TaskKey(7));
+        pump(
+            e,
+            Msg::ack(p.stamp.clone(), addr, p.parent.addr, p.incarnation),
+        );
+    }
+
+    /// Delivers a failure notice and returns the spawns it reissued.
+    fn notice(e: &mut Engine, dead: ProcId) -> Vec<TaskPacket> {
+        pump(e, Msg::FailureNotice { dead })
+            .into_iter()
+            .filter_map(spawned)
+            .collect()
+    }
+
+    fn packet_bytes(spawns: &[TaskPacket]) -> usize {
+        spawns.iter().map(TaskPacket::size).sum()
+    }
+
+    #[test]
+    fn spawn_stores_one_checkpoint_per_child() {
+        let (e, spawns) = first_wave_spawns(RecoveryMode::Splice);
+        let t = e.checkpoints();
+        assert_eq!(t.len(), spawns.len());
+        assert_eq!(t.stored_total(), spawns.len() as u64);
+        assert_eq!(t.bytes(), packet_bytes(&spawns));
+    }
+
+    #[test]
+    fn failure_notice_reissues_the_child_acked_there() {
+        let (mut e, spawns) = first_wave_spawns(RecoveryMode::Rollback);
+        ack_from(&mut e, &spawns[0], ProcId(2));
+        // The other children are unacked (pending): no destination yet.
+        let twins = notice(&mut e, ProcId(2));
+        assert_eq!(twins.len(), 1);
+        assert_eq!(twins[0].stamp, spawns[0].stamp);
+        assert_eq!(twins[0].incarnation, 1);
+        assert_eq!(e.stats().reissues, 1);
+    }
+
+    #[test]
+    fn reissued_checkpoint_leaves_its_old_destination() {
+        let (mut e, spawns) = first_wave_spawns(RecoveryMode::Splice);
+        ack_from(&mut e, &spawns[0], ProcId(2));
+        // A bounced spawn reissues the child: pending again.
+        let mut sink = ActionSink::new();
+        e.on_send_failed(ProcId(3), Msg::spawn(spawns[0].clone()), &mut sink);
+        assert_eq!(e.stats().reissues, 1);
+        assert!(notice(&mut e, ProcId(2)).is_empty());
+        assert_eq!(e.stats().reissues, 1);
+        assert_eq!(e.checkpoints().len(), spawns.len());
+    }
+
+    #[test]
+    fn re_ack_moves_the_checkpoint() {
+        let (mut e, spawns) = first_wave_spawns(RecoveryMode::Splice);
+        ack_from(&mut e, &spawns[0], ProcId(2));
+        ack_from(&mut e, &spawns[0], ProcId(3));
+        assert!(notice(&mut e, ProcId(2)).is_empty());
+        let twins = notice(&mut e, ProcId(3));
+        assert_eq!(twins.len(), 1);
+        assert_eq!(twins[0].stamp, spawns[0].stamp);
+    }
+
+    #[test]
+    fn result_and_abort_retire_checkpoints() {
+        let (mut e, spawns) = first_wave_spawns(RecoveryMode::Rollback);
+        let p = &spawns[0];
+        pump(
+            &mut e,
+            Msg::result(ResultPacket {
+                from_stamp: p.stamp.clone(),
+                demand: p.demand.clone(),
+                value: Value::Int(5),
+                to: p.parent.addr,
+                to_stamp: p.parent.stamp.clone(),
+                relay_chain: vec![],
+                replica: None,
+            }),
+        );
+        assert_eq!(e.checkpoints().len(), spawns.len() - 1);
+        assert_eq!(e.checkpoints().retired_total(), 1);
+        assert_eq!(e.checkpoints().bytes(), packet_bytes(&spawns[1..]));
+        pump(&mut e, Msg::Abort { to: p.parent.addr });
+        assert_eq!(e.task_count(), 0);
+        assert_eq!(e.checkpoints().len(), 0);
+        assert_eq!(e.checkpoints().bytes(), 0);
+        assert_eq!(e.checkpoints().retired_total(), spawns.len() as u64);
+    }
+
+    #[test]
+    fn preloads_dedup_by_demand_and_count_in_bytes() {
+        let (mut e, spawns) = first_wave_spawns(RecoveryMode::Splice);
+        let p = &spawns[0];
+        let report = |entries: Vec<(Demand, Value)>| {
+            Msg::ckpt(CkptPacket {
+                owner: p.parent.addr,
+                from_stamp: p.stamp.clone(),
+                entries,
+            })
+        };
+        let d1 = Demand::new(p.demand.fun, vec![Value::Int(1)]);
+        let d2 = Demand::new(p.demand.fun, vec![Value::Int(2)]);
+        let base = e.checkpoints().bytes();
+        pump(&mut e, report(vec![(d1.clone(), Value::Int(10))]));
+        pump(
+            &mut e,
+            report(vec![(d1, Value::Int(10)), (d2, Value::Int(20))]),
+        );
+        let added = Value::Int(10).size() + Value::Int(20).size();
+        assert_eq!(e.checkpoints().bytes(), base + added);
+        assert_eq!(e.stats().stale_messages_ignored, 0);
+        // A report for a child this engine never spawned is stale.
+        pump(
+            &mut e,
+            Msg::ckpt(CkptPacket {
+                owner: p.parent.addr,
+                from_stamp: p.stamp.child(9),
+                entries: vec![],
+            }),
+        );
+        assert_eq!(e.stats().stale_messages_ignored, 1);
+        // Retiring the owner releases the preload bytes too.
+        pump(&mut e, Msg::Abort { to: p.parent.addr });
+        assert_eq!(e.checkpoints().bytes(), 0);
+        assert!(e.checkpoints().peak_bytes() >= base + added);
+    }
+
+    #[test]
+    fn checkpoint_peaks_keep_high_water_marks() {
+        let (mut e, spawns) = first_wave_spawns(RecoveryMode::Splice);
+        pump(
+            &mut e,
+            Msg::Abort {
+                to: spawns[0].parent.addr,
+            },
+        );
+        let t = e.checkpoints();
+        assert!(t.is_empty());
+        assert_eq!(t.peak_entries(), spawns.len());
+        assert_eq!(t.peak_bytes(), packet_bytes(&spawns));
+    }
+
+    #[test]
+    fn twin_packet_is_the_original_but_for_incarnation() {
+        let (mut e, spawns) = first_wave_spawns(RecoveryMode::Splice);
+        let b = ProcId(1);
+        ack_from(&mut e, &spawns[0], b);
+        let twins = notice(&mut e, b);
+        assert_eq!(twins.len(), 1);
+        let mut want = spawns[0].clone();
+        want.incarnation = 1;
+        assert_eq!(twins[0], want);
+        assert!(!want.ancestors.is_empty(), "links are part of the pin");
     }
 }

@@ -8,8 +8,8 @@
 //!   make ancestor/descendant relations observable without synchronization;
 //! * [`packet`] — task packets (the functional checkpoints themselves),
 //!   result packets, salvage packets and the complete wire vocabulary;
-//! * [`checkpoint`] — the per-destination checkpoint table with the §3.2
-//!   topmost rule;
+//! * [`checkpoint`] — functional checkpoints as fields of the child record,
+//!   their counters, and recovery selection with the §3.2 topmost rule;
 //! * [`engine`] — the sans-IO processor protocol loop of §4.2, implementing
 //!   both rollback recovery (§3) and splice recovery (§4) plus replicated
 //!   tasks with majority voting (§5.3) and k-level ancestor chains (§5.2);

@@ -4,9 +4,10 @@
 //! execution. The packet contains all necessary information, either directly
 //! or indirectly accessible, to activate the child task." (§2.1)
 //!
-//! The same [`TaskPacket`] value is what the parent retains as the child's
-//! *functional checkpoint*; reissuing the packet — in the rollback or the
-//! splice algorithm — is recovery.
+//! A [`TaskPacket`] is the child's *functional checkpoint*. The parent keeps
+//! no copy of it: its child record and its own links hold every field, so
+//! the engine rebuilds the identical packet to reissue it — in the rollback
+//! or the splice algorithm — and that reissue is recovery.
 
 use crate::ids::{ProcId, TaskAddr};
 use crate::stamp::LevelStamp;

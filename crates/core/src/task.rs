@@ -6,6 +6,7 @@
 //! state for replicated children, and buffers for salvaged results that
 //! cannot be routed onwards yet.
 
+use crate::checkpoint::Checkpoint;
 use crate::ids::{TaskAddr, TaskKey};
 use crate::packet::{ReplicaInfo, SalvagePacket, TaskLink, TaskPacket};
 use crate::replicate::Vote;
@@ -51,6 +52,10 @@ pub struct ChildInfo {
     /// until the owner's progress actually demands the result. Cleared on
     /// rebuild.
     pub lost: bool,
+    /// The child's live functional checkpoint (§2): present from spawn
+    /// until the demand is satisfied, when the recovery mode checkpoints
+    /// and the child is not replicated.
+    pub ckpt: Option<Checkpoint>,
 }
 
 impl ChildInfo {
@@ -249,6 +254,7 @@ mod tests {
             vote: None,
             twin_pending: false,
             lost: false,
+            ckpt: None,
         };
         assert_eq!(ci.current_addr(), Some(addr));
         ci.incarnation = 1; // reissued; the old ack is stale
@@ -291,6 +297,7 @@ mod tests {
             vote: None,
             twin_pending: false,
             lost: false,
+            ckpt: None,
         });
         assert_eq!(t.child_stamp_of(&d), Some(&stamp));
         assert!(!t.all_children_done());

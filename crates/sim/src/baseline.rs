@@ -20,8 +20,8 @@
 //!   last completed snapshot.
 //!
 //! This keeps the comparison honest (same workload, same machine, same
-//! cost units) while acknowledging in DESIGN.md that the baselines are
-//! models, not protocol implementations.
+//! cost units) while acknowledging that the baselines are models, not
+//! protocol implementations.
 
 use crate::report::RunReport;
 

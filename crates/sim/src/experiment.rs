@@ -1,4 +1,5 @@
-//! The experiment suite (E1–E12 of DESIGN.md).
+//! The experiment suite: one `eNN_*` function per experiment, each building
+//! the table the `experiments` binary prints.
 //!
 //! The paper has no quantitative tables — its figures are conceptual — so
 //! each experiment either *executes* a figure as a checked scenario or

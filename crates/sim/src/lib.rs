@@ -19,8 +19,8 @@
 //! * [`figure1`] — the paper's Figure 1 scenario, scripted;
 //! * [`baseline`] — whole-program-restart and periodic-global-checkpoint
 //!   comparison models;
-//! * [`experiment`] — the E1–E12 experiment suite (see DESIGN.md) used by
-//!   the `experiments` binary and the criterion benches.
+//! * [`experiment`] — the experiment suite (one `eNN_*` table function per
+//!   experiment) used by the `experiments` binary and the criterion benches.
 
 #![warn(missing_docs)]
 

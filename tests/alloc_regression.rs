@@ -1,17 +1,20 @@
 //! Allocation regression guard for the engine hot loop.
 //!
-//! PR 4 made the `Engine` → dispatch → substrate pipeline allocation-free
-//! on the steady-state path: handlers fill a caller-owned [`ActionSink`]
-//! instead of returning fresh `Vec<Action>`s, task frames are recycled
-//! from a per-engine pool, and wave evaluation runs on pooled scratch.
-//! What remains is genuinely new data (spawn packets, checkpoint copies,
+//! The `Engine` → dispatch → substrate pipeline is allocation-free on the
+//! steady-state path: handlers fill a caller-owned [`ActionSink`] instead
+//! of returning fresh `Vec<Action>`s, task frames are recycled from a
+//! per-engine pool, wave evaluation runs on pooled scratch, and a
+//! functional checkpoint is a field of the recycled child record, not a
+//! copy of the packet. What remains is genuinely new data (spawn packets,
 //! values). This test pins that property with a counting global allocator:
 //! a full fault-free fib(12) simulation must stay under a fixed allocation
-//! budget. Measured on this container: the pre-PR4 pipeline performed
-//! ~15,000 allocations on this run, the sink/arena pipeline ~8,100. The
-//! ceiling sits between the two with headroom over the measured count, so
-//! the guard trips on systematic regressions (a reintroduced per-handler
-//! `Vec`, a lost pool), not on noise — and the old pipeline would fail it.
+//! budget, and checkpointing must not add a single allocation over the same
+//! run with recovery off. The pipeline without pooled sinks and frames
+//! performed ~15,000 allocations on this run, with them ~8,100 while
+//! checkpoints still copied the packet, and ~6,900 now. The ceiling sits
+//! between the unpooled count and the measured one, so the guard trips on
+//! systematic regressions (a reintroduced per-handler `Vec`, a lost pool),
+//! not on noise — and the unpooled pipeline would fail it.
 
 // A counting GlobalAlloc cannot be written without `unsafe`; the workspace
 // denies it by default, so this test opts out locally.
@@ -85,6 +88,24 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
         allocs < CEILING,
         "steady-state pump allocated {allocs} times (ceiling {CEILING}); \
          a hot-path allocation crept back in"
+    );
+    // Checkpointing must allocate nothing: the same run with recovery off
+    // (no checkpoints stored or retired) allocates exactly as often.
+    let mut cfg = MachineConfig::new(4);
+    cfg.recovery.load_beacon_period = 200;
+    cfg.recovery.mode = splice::core::RecoveryMode::None;
+    let machine = splice::sim::machine::Machine::new(cfg, &w);
+    ALLOCS.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let bare_report = machine.run(&FaultPlan::none());
+    COUNTING.store(false, Ordering::Relaxed);
+    let bare_allocs = ALLOCS.load(Ordering::Relaxed);
+    assert!(bare_report.completed, "recovery-off run must complete");
+    assert_eq!(bare_report.result, report.result);
+    assert_eq!(
+        allocs, bare_allocs,
+        "checkpointing allocated: {allocs} with splice recovery vs \
+         {bare_allocs} with recovery off"
     );
     // Checksum-only tracing must ride the hot loop for free: the
     // `ChecksumSink` folds every canonical event into two u64 digests
