@@ -43,8 +43,10 @@ pub struct ChildInfo {
     /// Salvage packets waiting for this child's placement ACK before being
     /// forwarded down the regenerated spine.
     pub pending_salvages: Vec<SalvagePacket>,
-    /// Vote state when the child is replicated.
-    pub vote: Option<VoteGroup>,
+    /// Vote state when the child is replicated. Boxed: only replicated
+    /// children (§5.3) fill it, and inline it would more than double the
+    /// size of every child record in every children table.
+    pub vote: Option<Box<VoteGroup>>,
     /// Set when a failure notice deferred this child's twin creation by the
     /// splice grace period (E13); cleared when the twin is actually issued.
     pub twin_pending: bool,
@@ -86,10 +88,10 @@ pub struct Task {
     pub under_replica: bool,
     /// Incarnation of the packet that created this instance.
     pub incarnation: u32,
-    /// Children by stamp.
+    /// Children by stamp: the frame's only per-child index. The rare
+    /// lookup by demand ([`Task::child_stamp_of`]) scans it instead of
+    /// keeping a second map in step.
     pub children: FxHashMap<LevelStamp, ChildInfo>,
-    /// Demand → child stamp (demands are deduplicated per task).
-    pub by_demand: FxHashMap<Demand, LevelStamp>,
     /// Next child digit to assign (digits start at 1).
     pub next_digit: u32,
     /// Salvaged results for descendants this (twin) task has not spawned
@@ -116,7 +118,6 @@ impl Task {
             under_replica: p.under_replica || p.replica.is_some(),
             incarnation: p.incarnation,
             children: FxHashMap::default(),
-            by_demand: FxHashMap::default(),
             next_digit: 0,
             future_salvages: Vec::new(),
             queued: false,
@@ -130,7 +131,6 @@ impl Task {
     pub fn reset_from_packet(&mut self, key: TaskKey, p: &TaskPacket) {
         debug_assert!(
             self.children.is_empty()
-                && self.by_demand.is_empty()
                 && self.future_salvages.is_empty()
                 && self.ckpt_pending.is_empty(),
             "recycled frame was not cleared"
@@ -152,7 +152,6 @@ impl Task {
     /// [`Task::reset_from_packet`].
     pub fn clear_for_reuse(&mut self) {
         self.children.clear();
-        self.by_demand.clear();
         self.future_salvages.clear();
         self.ancestors.clear();
         self.ckpt_pending.clear();
@@ -166,10 +165,10 @@ impl Task {
         self.stamp.child(self.next_digit)
     }
 
-    /// Registers a spawned child.
+    /// Registers a spawned child. The wave evaluator issues each demand
+    /// once per frame, so no two children share a demand.
     pub fn register_child(&mut self, info: ChildInfo) {
-        self.by_demand
-            .insert(info.demand.clone(), info.stamp.clone());
+        debug_assert!(self.child_stamp_of(&info.demand).is_none());
         self.children.insert(info.stamp.clone(), info);
     }
 
@@ -178,9 +177,12 @@ impl Task {
         self.children.get_mut(stamp)
     }
 
-    /// Child lookup by demand.
+    /// Child lookup by demand: a scan, run only when a salvage arrives.
     pub fn child_stamp_of(&self, demand: &Demand) -> Option<&LevelStamp> {
-        self.by_demand.get(demand)
+        self.children
+            .iter()
+            .find(|(_, c)| c.demand == *demand)
+            .map(|(stamp, _)| stamp)
     }
 
     /// Takes the buffered future salvages that belong to child `stamp`
@@ -303,5 +305,19 @@ mod tests {
         assert!(!t.all_children_done());
         t.child_mut(&stamp).unwrap().done = true;
         assert!(t.all_children_done());
+    }
+
+    #[test]
+    fn child_records_stay_small() {
+        // Every spawning frame keeps one children-table bucket per child,
+        // so the record's size is the frame's size. The vote group is
+        // boxed to keep it out of the unreplicated majority.
+        let info = std::mem::size_of::<ChildInfo>();
+        assert!(info <= 168, "ChildInfo grew past 168 bytes: {info}");
+        let bucket = std::mem::size_of::<(LevelStamp, ChildInfo)>();
+        assert!(
+            bucket <= 192,
+            "children bucket grew past 192 bytes: {bucket}"
+        );
     }
 }

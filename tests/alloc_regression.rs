@@ -11,10 +11,15 @@
 //! budget, and checkpointing must not add a single allocation over the same
 //! run with recovery off. The pipeline without pooled sinks and frames
 //! performed ~15,000 allocations on this run, with them ~8,100 while
-//! checkpoints still copied the packet, and ~6,900 now. The ceiling sits
-//! between the unpooled count and the measured one, so the guard trips on
-//! systematic regressions (a reintroduced per-handler `Vec`, a lost pool),
-//! not on noise — and the unpooled pipeline would fail it.
+//! checkpoints still copied the packet, ~6,900 while every frame kept a
+//! second by-demand map, and 6,211 now. The ceiling sits between the
+//! unpooled count and the measured one, so the guard trips on systematic
+//! regressions (a reintroduced per-handler `Vec`, a lost pool), not on
+//! noise — and the unpooled pipeline would fail it.
+//!
+//! The allocator also tracks live requested bytes, so the same run pins
+//! its peak heap: task frames dominate it, and a frame that grows (an
+//! inline vote group, a second per-child map) shows up here first.
 
 // A counting GlobalAlloc cannot be written without `unsafe`; the workspace
 // denies it by default, so this test opts out locally.
@@ -28,21 +33,41 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
+/// Requested bytes currently allocated, tracked at all times.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// High-water mark of `LIVE`, raised only while counting.
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    if COUNTING.load(Ordering::Relaxed) {
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 struct Counting;
 
 // SAFETY: every method delegates to `System` with the caller's layout
-// unchanged; the only extra behaviour is a relaxed counter increment.
+// unchanged; the only extra behaviour is relaxed counter updates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: same layout contract as our caller's.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` was allocated by `System` with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -52,8 +77,29 @@ unsafe impl GlobalAlloc for Counting {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         // SAFETY: `ptr` was allocated by `System` with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            shrink(layout.size());
+            grow(new_size);
+        }
+        new
     }
+}
+
+/// Runs `f` with counting on. Returns its output, the allocations it
+/// made and its peak live heap above the level at its start.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    ALLOCS.store(0, Ordering::Relaxed);
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = f();
+    COUNTING.store(false, Ordering::Relaxed);
+    (
+        out,
+        ALLOCS.load(Ordering::Relaxed),
+        PEAK.load(Ordering::Relaxed) - start,
+    )
 }
 
 #[global_allocator]
@@ -69,6 +115,9 @@ static ALLOCATOR: Counting = Counting;
 #[test]
 fn steady_state_pump_stays_under_allocation_ceiling() {
     const CEILING: u64 = 12_000;
+    // Peak live bytes above the run's start: 970,496 with one children
+    // map per frame and boxed vote groups, 1,256,576 before.
+    const PEAK_CEILING: u64 = 1_100_000;
 
     let w = Workload::fib(12);
     let mut cfg = MachineConfig::new(4);
@@ -76,11 +125,7 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
     // Machine construction (engines, queues, placers) is outside the
     // steady-state claim; count only the run itself.
     let machine = splice::sim::machine::Machine::new(cfg, &w);
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let report = machine.run(&FaultPlan::none());
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let (report, allocs, peak) = counted(|| machine.run(&FaultPlan::none()));
 
     assert!(report.completed, "run must complete");
     assert_eq!(report.result, Some(w.reference_result().unwrap()));
@@ -89,23 +134,29 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
         "steady-state pump allocated {allocs} times (ceiling {CEILING}); \
          a hot-path allocation crept back in"
     );
+    assert!(
+        peak <= PEAK_CEILING,
+        "steady-state pump peaked {peak} bytes above its start \
+         (ceiling {PEAK_CEILING}); a task frame grew"
+    );
     // Checkpointing must allocate nothing: the same run with recovery off
     // (no checkpoints stored or retired) allocates exactly as often.
     let mut cfg = MachineConfig::new(4);
     cfg.recovery.load_beacon_period = 200;
     cfg.recovery.mode = splice::core::RecoveryMode::None;
     let machine = splice::sim::machine::Machine::new(cfg, &w);
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let bare_report = machine.run(&FaultPlan::none());
-    COUNTING.store(false, Ordering::Relaxed);
-    let bare_allocs = ALLOCS.load(Ordering::Relaxed);
+    let (bare_report, bare_allocs, bare_peak) = counted(|| machine.run(&FaultPlan::none()));
     assert!(bare_report.completed, "recovery-off run must complete");
     assert_eq!(bare_report.result, report.result);
     assert_eq!(
         allocs, bare_allocs,
         "checkpointing allocated: {allocs} with splice recovery vs \
          {bare_allocs} with recovery off"
+    );
+    assert_eq!(
+        peak, bare_peak,
+        "checkpointing raised the peak heap: {peak} bytes with splice \
+         recovery vs {bare_peak} with recovery off"
     );
     // Checksum-only tracing must ride the hot loop for free: the
     // `ChecksumSink` folds every canonical event into two u64 digests
@@ -116,11 +167,7 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
     cfg.recovery.load_beacon_period = 200;
     cfg.trace = splice::simnet::trace::TraceMode::Checksum;
     let machine = splice::sim::machine::Machine::new(cfg, &w);
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let traced_report = machine.run(&FaultPlan::none());
-    COUNTING.store(false, Ordering::Relaxed);
-    let traced_allocs = ALLOCS.load(Ordering::Relaxed);
+    let (traced_report, traced_allocs, _) = counted(|| machine.run(&FaultPlan::none()));
     assert!(traced_report.completed, "traced run must complete");
     assert!(traced_report.trace.events > 0, "checksum mode must trace");
     assert!(
@@ -134,11 +181,7 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
     // determinism, not load).
     let mut cfg = MachineConfig::new(4);
     cfg.recovery.load_beacon_period = 200;
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let again = run_workload(cfg, &w, &FaultPlan::none());
-    COUNTING.store(false, Ordering::Relaxed);
-    let allocs_again = ALLOCS.load(Ordering::Relaxed);
+    let (again, allocs_again, _) = counted(|| run_workload(cfg, &w, &FaultPlan::none()));
     assert!(again.completed);
     // The second measurement includes machine construction; allow it a
     // small constant on top of the run ceiling.
@@ -165,11 +208,7 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
     let mut cfg = MachineConfig::new(4);
     cfg.recovery.load_beacon_period = 200;
     let machine = splice::sim::reactor::ReactorMachine::new(cfg, &w);
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let report = machine.run(&FaultPlan::none());
-    COUNTING.store(false, Ordering::Relaxed);
-    let reactor_allocs = ALLOCS.load(Ordering::Relaxed);
+    let (report, reactor_allocs, _) = counted(|| machine.run(&FaultPlan::none()));
     assert!(report.completed, "reactor run must complete");
     assert_eq!(report.result, Some(w.reference_result().unwrap()));
     assert!(
@@ -193,11 +232,7 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
     cfg.recovery.load_beacon_period = 200;
     cfg.threads = 2;
     let machine = splice::sim::parallel::ParallelReactorMachine::new(cfg, &w);
-    ALLOCS.store(0, Ordering::Relaxed);
-    COUNTING.store(true, Ordering::Relaxed);
-    let report = machine.run(&FaultPlan::none());
-    COUNTING.store(false, Ordering::Relaxed);
-    let parallel_allocs = ALLOCS.load(Ordering::Relaxed);
+    let (report, parallel_allocs, _) = counted(|| machine.run(&FaultPlan::none()));
     assert!(report.completed, "parallel reactor run must complete");
     assert_eq!(report.result, Some(w.reference_result().unwrap()));
     assert_eq!(report.threads, 2);
