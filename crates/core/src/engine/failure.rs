@@ -15,7 +15,7 @@ impl Engine {
     /// `(child stamp, owner)` pairs in no particular order.
     fn checkpoints_filed_under(&self, dead: ProcId) -> Vec<(LevelStamp, TaskKey)> {
         let mut entry = Vec::new();
-        for (key, task) in &self.tasks {
+        for (key, task) in self.tasks.iter() {
             for (stamp, ci) in &task.children {
                 if ci.ckpt.as_ref().is_some_and(|cp| cp.dest == Some(dead)) {
                     entry.push((stamp.clone(), *key));
@@ -130,7 +130,7 @@ impl Engine {
     fn handle_replica_losses(&mut self, dead: ProcId, sink: &mut ActionSink) {
         let mut decisions: Vec<(TaskKey, LevelStamp, Option<Value>, bool, u64)> = Vec::new();
         let mut respawns: Vec<(TaskKey, LevelStamp)> = Vec::new();
-        for (key, task) in self.tasks.iter_mut() {
+        self.tasks.for_each_mut(|key, task| {
             for (stamp, ci) in task.children.iter_mut() {
                 let Some(group) = ci.vote.as_mut() else {
                     continue;
@@ -143,16 +143,16 @@ impl Engine {
                     match group.vote.mark_lost() {
                         VoteOutcome::Decided { value, clean } => {
                             let dissent = group.vote.dissenting(&value) as u64;
-                            decisions.push((*key, stamp.clone(), Some(value), clean, dissent));
+                            decisions.push((key, stamp.clone(), Some(value), clean, dissent));
                         }
                         VoteOutcome::Pending => {}
                     }
                 }
                 if group.vote.all_lost() {
-                    respawns.push((*key, stamp.clone()));
+                    respawns.push((key, stamp.clone()));
                 }
             }
-        }
+        });
         for (key, stamp, value, clean, dissent) in decisions {
             if let Some(v) = value {
                 if clean {

@@ -40,12 +40,14 @@ use crate::sink::ActionSink;
 use crate::stamp::LevelStamp;
 use crate::stats::ProcStats;
 use crate::task::Task;
+use frames::Frames;
 use splice_applicative::wave::{Demand, FramePool};
 use splice_applicative::{FxHashMap, FxHashSet, Program};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 mod failure;
+mod frames;
 mod result;
 mod salvage;
 mod spawn;
@@ -135,7 +137,9 @@ pub struct Engine {
     program: Arc<Program>,
     config: Config,
     placer: Box<dyn Placer>,
-    tasks: FxHashMap<TaskKey, Task>,
+    /// Resident task frames; spent frames stay for the next spawn, so
+    /// steady-state task churn allocates nothing.
+    tasks: Frames,
     by_stamp: FxHashMap<LevelStamp, TaskKey>,
     ready: VecDeque<TaskKey>,
     next_key: u64,
@@ -150,9 +154,6 @@ pub struct Engine {
     pool: FramePool,
     /// Reusable demand out-buffer for `run_wave`.
     demand_buf: Vec<Demand>,
-    /// Retired task frames: their maps and buffers are reused by the next
-    /// accepted spawn, so steady-state task churn allocates nothing.
-    free_tasks: Vec<Task>,
     /// Only filled while a driver has enabled creation logging.
     log_created: bool,
     created_log: Vec<LevelStamp>,
@@ -173,7 +174,7 @@ impl Engine {
             config,
             placer,
             policy,
-            tasks: FxHashMap::default(),
+            tasks: Frames::default(),
             by_stamp: FxHashMap::default(),
             ready: VecDeque::new(),
             next_key: 0,
@@ -182,7 +183,6 @@ impl Engine {
             stats: ProcStats::default(),
             pool: FramePool::new(),
             demand_buf: Vec::new(),
-            free_tasks: Vec::new(),
             log_created: false,
             created_log: Vec::new(),
         }

@@ -252,6 +252,6 @@ impl Engine {
             }
             // Replicas are not aborted: they finish and their results are ignored.
         }
-        self.recycle_task(task);
+        self.tasks.recycle(task);
     }
 }

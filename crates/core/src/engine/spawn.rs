@@ -13,10 +13,6 @@ use splice_applicative::Value;
 /// Maximum placement hops before a packet must be accepted locally.
 const MAX_HOPS: u32 = 16;
 
-/// Retired task frames an engine keeps for reuse. Enough for the resident
-/// peak of every shipped workload; beyond it frames are simply dropped.
-const FREE_TASK_CAP: usize = 512;
-
 /// Builds the packet for child `stamp` of `owner` on this processor `id`:
 /// the spawn and every reissue of the child go through here, so a twin's
 /// packet equals the original but for `incarnation`. `links` is how many
@@ -72,15 +68,8 @@ impl Engine {
         // Accept locally, reviving a retired task frame when one exists.
         let key = TaskKey(self.next_key);
         self.next_key += 1;
-        let task = match self.free_tasks.pop() {
-            Some(mut t) => {
-                t.reset_from_packet(key, &p);
-                t
-            }
-            None => Task::from_packet(key, &p),
-        };
-        self.by_stamp.insert(task.stamp.clone(), key);
-        self.tasks.insert(key, task);
+        self.tasks.insert(key, &p);
+        self.by_stamp.insert(p.stamp.clone(), key);
         self.stats.tasks_created += 1;
         if self.log_created {
             self.created_log.push(p.stamp.clone());
@@ -93,14 +82,6 @@ impl Engine {
             p.incarnation,
         );
         self.send(sink, p.parent.addr.proc, ack);
-    }
-
-    /// Retires a task frame into the free list for reuse.
-    pub(super) fn recycle_task(&mut self, mut task: Task) {
-        if self.free_tasks.len() < FREE_TASK_CAP {
-            task.clear_for_reuse();
-            self.free_tasks.push(task);
-        }
     }
 
     pub(super) fn on_ack(
@@ -339,7 +320,7 @@ impl Engine {
             relay_chain: std::mem::take(&mut task.ancestors),
             replica: task.replica.take(),
         };
-        self.recycle_task(task);
+        self.tasks.recycle(task);
         if self.known_dead.contains(&rp.to.proc) {
             self.handle_undeliverable_result(rp, sink);
         } else {
@@ -354,7 +335,7 @@ impl Engine {
                 self.by_stamp.remove(&task.stamp);
             }
             self.retire_checkpoints(&mut task);
-            self.recycle_task(task);
+            self.tasks.recycle(task);
         }
     }
 }

@@ -180,9 +180,11 @@ fn task_frames_are_recycled_across_generations() {
     let mut e = engine_for(&w, RecoveryMode::Splice);
     assert_eq!(run_single(&mut e, &w), Value::Int(21));
     let created_first = e.stats().tasks_created;
-    assert!(!e.free_tasks.is_empty(), "retired frames were kept");
+    assert!(e.tasks.retired_len() > 0, "retired frames were kept");
+    let held = e.tasks.capacity();
     assert_eq!(run_single(&mut e, &w), Value::Int(21));
     assert_eq!(e.task_count(), 0);
+    assert_eq!(e.tasks.capacity(), held, "the second run grew the slab");
     assert!(e.stats().tasks_created > created_first);
     assert!(e.checkpoints().is_empty());
 }
@@ -509,9 +511,10 @@ fn salvage_supplies_the_child_spawned_for_its_demand() {
     };
     pump(&mut e, salvage(spawns[1].demand.clone()));
     assert_eq!(e.stats().salvage_after_spawn, 1);
+    let owner_task = e.tasks.get(&owner.addr.key).expect("owner resident");
     let done: Vec<bool> = spawns
         .iter()
-        .map(|p| e.tasks[&owner.addr.key].children[&p.stamp].done)
+        .map(|p| owner_task.children[&p.stamp].done)
         .collect();
     assert_eq!(done, [false, true, false]);
     assert_eq!(e.checkpoints().len(), 2, "the supplied child retired");

@@ -125,6 +125,26 @@ impl Task {
         }
     }
 
+    /// A placeholder frame that owns no heap memory: what a frame slot
+    /// holds while its frame is out of the slab.
+    pub(crate) fn vacant() -> Task {
+        Task {
+            key: TaskKey(0),
+            stamp: LevelStamp::root(),
+            eval: TaskEval::new(splice_applicative::FnId(0), Vec::new()),
+            parent: TaskLink::super_root(),
+            ancestors: Vec::new(),
+            replica: None,
+            under_replica: false,
+            incarnation: 0,
+            children: FxHashMap::default(),
+            next_digit: 0,
+            future_salvages: Vec::new(),
+            queued: false,
+            ckpt_pending: Vec::new(),
+        }
+    }
+
     /// Reinitializes a recycled frame from a packet — the allocation-free
     /// twin of [`Task::from_packet`]. The frame's maps, buffers and call
     /// cache keep their capacity across task generations.

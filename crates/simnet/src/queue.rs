@@ -21,6 +21,12 @@
 //! * Far-future events (long timers: ack timeouts on high-latency routers,
 //!   heartbeat horizons) overflow into an unordered spill vector and are
 //!   migrated into the ring as the window slides over them.
+//! * Day buffers are recycled. A day left empty when the window slides
+//!   past it (or when an empty queue re-anchors) hands its buffer to a
+//!   spare stack, and the next day that fills takes one from there, so the
+//!   ring holds about as many allocated buffers as days that hold events at
+//!   once, not one per day it has ever used. Only buffers move, never
+//!   events, so pop order is untouched.
 //!
 //! Pop order is *identical* to the heap's — the property test in
 //! `tests/queue_model.rs` cross-checks random interleaved schedules against
@@ -57,6 +63,9 @@ pub struct EventQueue<E> {
     /// The day ring. Bucket `d & (N_BUCKETS-1)` holds day `d`'s events
     /// while `d` is inside the window `[cur_day, cur_day + N_BUCKETS)`.
     buckets: Vec<Vec<Entry<E>>>,
+    /// Empty day buffers that kept their capacity, for the next day that
+    /// fills.
+    spare: Vec<Vec<Entry<E>>>,
     /// Events beyond the window, unordered.
     overflow: Vec<Entry<E>>,
     /// Smallest day present in `overflow` (meaningless when empty).
@@ -76,6 +85,7 @@ impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
             buckets: (0..N_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             overflow: Vec::new(),
             overflow_min_day: 0,
             cur_day: 0,
@@ -106,7 +116,8 @@ impl<E> EventQueue<E> {
         self.scheduled_total += 1;
         if self.len == 0 {
             // Empty queue: re-anchor the window at the event so pops never
-            // walk stale empty days.
+            // walk stale empty days. The old day's buffer is left behind.
+            self.retire_day_buffer();
             self.cur_day = day_of(at);
             self.sorted_day = u64::MAX;
         }
@@ -122,6 +133,11 @@ impl<E> EventQueue<E> {
                 let pos = bucket.partition_point(|e| e.key() > entry.key());
                 bucket.insert(pos, entry);
             } else {
+                if bucket.capacity() == 0 {
+                    if let Some(buffer) = self.spare.pop() {
+                        *bucket = buffer;
+                    }
+                }
                 if bucket.capacity() == bucket.len() {
                     // Skip the 4→8→16 doubling ramp: one day of a busy
                     // simulation holds tens of events.
@@ -166,6 +182,22 @@ impl<E> EventQueue<E> {
         self.overflow_min_day = next_min;
     }
 
+    /// Moves the current day's buffer, empty by now, onto the spare stack
+    /// if it holds any capacity.
+    fn retire_day_buffer(&mut self) {
+        let bucket = &mut self.buckets[(self.cur_day & (N_BUCKETS as u64 - 1)) as usize];
+        debug_assert!(bucket.is_empty());
+        if bucket.capacity() > 0 {
+            self.spare.push(std::mem::take(bucket));
+        }
+    }
+
+    /// Day buffers holding capacity, in the ring and on the spare stack.
+    #[cfg(test)]
+    fn buffers_held(&self) -> usize {
+        self.buckets.iter().filter(|b| b.capacity() > 0).count() + self.spare.len()
+    }
+
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
         if self.len == 0 {
@@ -185,6 +217,7 @@ impl<E> EventQueue<E> {
             }
             // Advance the window one day — or jump it straight to the
             // overflow when nothing nearer remains.
+            self.retire_day_buffer();
             if self.in_window == 0 {
                 debug_assert!(!self.overflow.is_empty());
                 self.cur_day = self.overflow_min_day;
@@ -314,6 +347,34 @@ mod tests {
         q.push(VirtualTime(40), "past");
         assert_eq!(q.pop(), Some((VirtualTime(40), "past")));
         assert_eq!(q.pop(), Some((VirtualTime(120), "later")));
+    }
+
+    #[test]
+    fn drained_days_hand_their_buffers_on() {
+        // A steady schedule that keeps at most K days non-empty at once:
+        // every pop schedules one event at most K-1 days later. Over ten
+        // laps of the window the ring must hold no more buffers than the
+        // busy days plus the day being left.
+        const K: u64 = 4;
+        let mut q = EventQueue::new();
+        for t in 0..(K - 1) * BUCKET_TICKS {
+            q.push(VirtualTime(t), ());
+        }
+        let end = 10 * N_BUCKETS as u64 * BUCKET_TICKS;
+        let mut popped = 0u64;
+        while let Some((at, ())) = q.pop() {
+            popped += 1;
+            if at.ticks() < end {
+                q.push(VirtualTime(at.ticks() + (K - 1) * BUCKET_TICKS), ());
+            }
+            assert!(
+                q.buffers_held() <= K as usize + 1,
+                "{} day buffers held at tick {}",
+                q.buffers_held(),
+                at.ticks()
+            );
+        }
+        assert!(popped > end);
     }
 
     #[test]
