@@ -34,20 +34,39 @@ use crate::error::EvalError;
 use crate::fxhash::{FxHashMap, FxHasher};
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A child-task demand: a combinator applied to fully evaluated arguments.
 /// This is the payload of a task packet.
+///
+/// The argument list is shared, not owned: the issuing frame's call cache,
+/// the parent's child record (the functional checkpoint), the spawn packet
+/// and the child frame that accepts it all hold the one allocation the
+/// walker made, and cloning a demand copies no values. `Arc<[Value]>`
+/// hashes and compares as the slice, so a demand's identity is its
+/// combinator and argument values, as before.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Demand {
     /// The demanded combinator.
     pub fun: FnId,
     /// Its evaluated arguments.
-    pub args: Vec<Value>,
+    pub args: Arc<[Value]>,
 }
 
 impl Demand {
-    /// Creates a demand.
+    /// Creates a demand, moving `args` into a shared list. The empty
+    /// list is `Arc::default()`, which owns no heap memory.
     pub fn new(fun: FnId, args: Vec<Value>) -> Demand {
+        let args = if args.is_empty() {
+            Arc::default()
+        } else {
+            args.into()
+        };
+        Demand::shared(fun, args)
+    }
+
+    /// Creates a demand on an existing shared argument list.
+    pub fn shared(fun: FnId, args: Arc<[Value]>) -> Demand {
         Demand { fun, args }
     }
 }
@@ -86,22 +105,23 @@ impl FramePool {
         FramePool::default()
     }
 
-    /// A task frame applying `fun` to `args`, recycled if possible.
-    pub fn take_eval(&mut self, fun: FnId, args: &[Value]) -> TaskEval {
+    /// A task frame applying `fun` to the shared list `args`, recycled if
+    /// possible.
+    pub fn take_eval(&mut self, fun: FnId, args: Arc<[Value]>) -> TaskEval {
         match self.evals.pop() {
             Some(mut e) => {
                 e.reset(fun, args);
                 e
             }
-            None => TaskEval::new(fun, args.to_vec()),
+            None => TaskEval::new(fun, args),
         }
     }
 
     /// Retires a finished frame; its allocations are reused by the next
-    /// [`FramePool::take_eval`].
+    /// [`FramePool::take_eval`]. It keeps its argument list until then:
+    /// the next frame replaces it.
     pub fn put_eval(&mut self, mut eval: TaskEval) {
         eval.cache.clear();
-        eval.args.clear();
         self.evals.push(eval);
     }
 
@@ -159,19 +179,25 @@ impl DemandCache {
 
     /// Borrow-only lookup: no owned key is built on either tier.
     fn lookup(&self, fun: FnId, args: &[Value]) -> Option<&Option<Value>> {
-        for (d, slot) in &self.small {
-            if d.fun == fun && d.args[..] == *args {
-                return Some(slot);
-            }
+        self.entry(fun, args).map(|(_, slot)| slot)
+    }
+
+    /// The cached key and slot for `(fun, args)`.
+    fn entry(&self, fun: FnId, args: &[Value]) -> Option<&(Demand, Option<Value>)> {
+        if let Some(e) = self
+            .small
+            .iter()
+            .find(|(d, _)| d.fun == fun && d.args[..] == *args)
+        {
+            return Some(e);
         }
         if self.big_len == 0 {
             return None;
         }
-        let bucket = self.big.get(&demand_key_hash(fun, args))?;
-        bucket
+        self.big
+            .get(&demand_key_hash(fun, args))?
             .iter()
             .find(|(d, _)| d.fun == fun && d.args[..] == *args)
-            .map(|(_, slot)| slot)
     }
 
     fn slot_mut(&mut self, demand: &Demand) -> Option<&mut Option<Value>> {
@@ -252,11 +278,13 @@ enum Preload {
 }
 
 /// One task's suspendable evaluation state: the task packet plus the call
-/// cache accumulated so far.
+/// cache accumulated so far. The arguments are the packet's shared list,
+/// taken over without a copy; the call cache's keys share the lists of the
+/// demands this task issued.
 #[derive(Clone, Debug)]
 pub struct TaskEval {
     fun: FnId,
-    args: Vec<Value>,
+    args: Arc<[Value]>,
     cache: DemandCache,
     outstanding: usize,
     waves: u32,
@@ -264,8 +292,9 @@ pub struct TaskEval {
 }
 
 impl TaskEval {
-    /// Creates the evaluation state for applying `fun` to `args`.
-    pub fn new(fun: FnId, args: Vec<Value>) -> TaskEval {
+    /// Creates the evaluation state for applying `fun` to the shared list
+    /// `args` (a packet's), without copying it.
+    pub fn new(fun: FnId, args: Arc<[Value]>) -> TaskEval {
         TaskEval {
             fun,
             args,
@@ -308,22 +337,21 @@ impl TaskEval {
         self.work
     }
 
-    /// Reinitializes a recycled frame for applying `fun` to `args`,
-    /// keeping the call cache's and argument buffer's allocations.
-    pub fn reset(&mut self, fun: FnId, args: &[Value]) {
+    /// Reinitializes a recycled frame for applying `fun` to the shared
+    /// list `args`, keeping the call cache's allocations.
+    pub fn reset(&mut self, fun: FnId, args: Arc<[Value]>) {
         self.fun = fun;
-        self.args.clear();
-        self.args.extend_from_slice(args);
+        self.args = args;
         self.cache.clear();
         self.outstanding = 0;
         self.waves = 0;
         self.work = 0;
     }
 
-    /// Moves the argument values out of a frame being retired (the
-    /// engine builds the completed task's result demand from them without
-    /// re-cloning the vector).
-    pub fn take_args(&mut self) -> Vec<Value> {
+    /// Moves the argument list out of a frame being retired (the engine
+    /// builds the completed task's result demand from it). The frame is
+    /// left with the empty list, which owns no heap memory.
+    pub fn take_args(&mut self) -> Arc<[Value]> {
         std::mem::take(&mut self.args)
     }
 
@@ -441,6 +469,12 @@ impl TaskEval {
             .and_then(|s| s.as_ref())
     }
 
+    /// The call cache's own copy of `demand`, if it was issued or
+    /// preloaded: the key whose argument list the cache shares.
+    pub fn cached_demand(&self, demand: &Demand) -> Option<&Demand> {
+        self.cache.entry(demand.fun, &demand.args).map(|(d, _)| d)
+    }
+
     /// Number of cache entries (issued + preloaded).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
@@ -551,8 +585,15 @@ impl<'a> Walker<'a> {
                             .iter()
                             .any(|d| d.fun == *f && d.args[..] == *argv);
                         if !dup {
-                            let demand = Demand::new(*f, self.vals.drain(base..).collect());
-                            self.new_demands.push(demand);
+                            // One allocation, moved straight off the stack:
+                            // the cache, the child record and the packet
+                            // all share it.
+                            let args = if base == self.vals.len() {
+                                Arc::default()
+                            } else {
+                                self.vals.drain(base..).collect()
+                            };
+                            self.new_demands.push(Demand::shared(*f, args));
                         }
                         Walked::Blocked
                     }
@@ -581,13 +622,13 @@ impl<'a> Walker<'a> {
 /// [`crate::eval::eval_call`] on every terminating, error-free program.
 pub fn run_local(prog: &Program, fun: FnId, args: &[Value]) -> Result<Value, EvalError> {
     let mut pool = FramePool::new();
-    run_local_depth(prog, fun, args, &mut pool, 0)
+    run_local_depth(prog, fun, Arc::from(args), &mut pool, 0)
 }
 
 fn run_local_depth(
     prog: &Program,
     fun: FnId,
-    args: &[Value],
+    args: Arc<[Value]>,
     pool: &mut FramePool,
     depth: usize,
 ) -> Result<Value, EvalError> {
@@ -609,7 +650,7 @@ fn run_local_depth(
                     unreachable!("wave evaluator deadlock");
                 }
                 for d in &demands {
-                    match run_local_depth(prog, d.fun, &d.args, pool, depth + 1) {
+                    match run_local_depth(prog, d.fun, Arc::clone(&d.args), pool, depth + 1) {
                         Ok(v) => task.supply(d, v),
                         Err(e) => break 'run Err(e),
                     };
@@ -660,7 +701,7 @@ mod tests {
     #[test]
     fn leaf_task_completes_in_one_wave() {
         let (p, fib) = fib_program();
-        let mut t = TaskEval::new(fib, vec![1.into()]);
+        let mut t = TaskEval::new(fib, [Value::Int(1)].into());
         assert!(matches!(
             t.step(&p).unwrap(),
             WaveResult::Done(Value::Int(1))
@@ -672,7 +713,7 @@ mod tests {
     #[test]
     fn interior_task_demands_both_children_in_one_wave() {
         let (p, fib) = fib_program();
-        let mut t = TaskEval::new(fib, vec![5.into()]);
+        let mut t = TaskEval::new(fib, [Value::Int(5)].into());
         let r = t.step(&p).unwrap();
         match r {
             WaveResult::Blocked { new_demands } => {
@@ -693,7 +734,7 @@ mod tests {
     #[test]
     fn supply_then_finish() {
         let (p, fib) = fib_program();
-        let mut t = TaskEval::new(fib, vec![5.into()]);
+        let mut t = TaskEval::new(fib, [Value::Int(5)].into());
         t.step(&p).unwrap();
         assert!(t.supply(&Demand::new(fib, vec![4.into()]), 3.into()));
         assert!(t.supply(&Demand::new(fib, vec![3.into()]), 2.into()));
@@ -707,7 +748,7 @@ mod tests {
     #[test]
     fn duplicate_supply_is_ignored() {
         let (p, fib) = fib_program();
-        let mut t = TaskEval::new(fib, vec![5.into()]);
+        let mut t = TaskEval::new(fib, [Value::Int(5)].into());
         t.step(&p).unwrap();
         let d = Demand::new(fib, vec![4.into()]);
         assert!(t.supply(&d, 3.into()));
@@ -722,7 +763,7 @@ mod tests {
         // Salvage path: preload fib(4) before the first wave; the task then
         // only ever demands fib(3).
         let (p, fib) = fib_program();
-        let mut t = TaskEval::new(fib, vec![5.into()]);
+        let mut t = TaskEval::new(fib, [Value::Int(5)].into());
         assert!(t.preload(Demand::new(fib, vec![4.into()]), 3.into()));
         match t.step(&p).unwrap() {
             WaveResult::Blocked { new_demands } => {
@@ -740,7 +781,7 @@ mod tests {
     #[test]
     fn preload_of_outstanding_demand_acts_as_supply() {
         let (p, fib) = fib_program();
-        let mut t = TaskEval::new(fib, vec![5.into()]);
+        let mut t = TaskEval::new(fib, [Value::Int(5)].into());
         t.step(&p).unwrap();
         assert_eq!(t.outstanding(), 2);
         assert!(!t.preload(Demand::new(fib, vec![4.into()]), 3.into()));
@@ -762,7 +803,7 @@ mod tests {
                 ],
             ),
         );
-        let mut t = TaskEval::new(f, vec![21.into()]);
+        let mut t = TaskEval::new(f, [Value::Int(21)].into());
         match t.step(&p).unwrap() {
             WaveResult::Blocked { new_demands } => assert_eq!(new_demands.len(), 1),
             other => panic!("{other:?}"),
@@ -799,7 +840,7 @@ mod tests {
             &["x"],
             Expr::Call(g, vec![Expr::Call(g, vec![Expr::var("x")])]),
         );
-        let mut t = TaskEval::new(f, vec![0.into()]);
+        let mut t = TaskEval::new(f, [Value::Int(0)].into());
         match t.step(&p).unwrap() {
             WaveResult::Blocked { new_demands } => {
                 assert_eq!(new_demands, vec![Demand::new(g, vec![0.into()])]);
@@ -838,7 +879,7 @@ mod tests {
                 Expr::int(0),
             ),
         );
-        let mut t = TaskEval::new(h, vec![1.into()]);
+        let mut t = TaskEval::new(h, [Value::Int(1)].into());
         match t.step(&p).unwrap() {
             WaveResult::Blocked { new_demands } => {
                 assert_eq!(new_demands, vec![Demand::new(g, vec![1.into()])]);

@@ -11,7 +11,9 @@
 //! and leaves a placeholder that owns no heap memory in its slot;
 //! [`Frames::recycle`] puts the cleared frame back, and the next
 //! [`Frames::insert`] revives it through [`Task::reset_from_packet`], so
-//! its maps and buffers keep their capacity across task generations. The
+//! its maps and buffers keep their capacity across task generations. A
+//! frame takes its packet by value: the argument list and the ancestor
+//! buffer move in, never copied. The
 //! slab keeps its high-water frame count, which the resident peak has
 //! already paid for. Retired frames are revived last in, first out.
 //!
@@ -93,8 +95,8 @@ impl Frames {
     }
 
     /// Makes `key` resident as the task `p` describes, reviving the most
-    /// recently retired frame when there is one.
-    pub(super) fn insert(&mut self, key: TaskKey, p: &TaskPacket) {
+    /// recently retired frame when there is one. The frame takes `p`.
+    pub(super) fn insert(&mut self, key: TaskKey, p: TaskPacket) {
         debug_assert!(!self.index.contains_key(&key), "task key reused");
         let slot = match self.retired.pop() {
             Some(slot) => {
@@ -180,17 +182,19 @@ mod tests {
     #[test]
     fn a_retired_frame_is_revived_in_its_slot() {
         let mut frames = Frames::default();
-        frames.insert(TaskKey(0), &packet(1));
-        frames.insert(TaskKey(1), &packet(2));
+        frames.insert(TaskKey(0), packet(1));
+        frames.insert(TaskKey(1), packet(2));
         let slot = frames.index[&TaskKey(0)];
         let mut task = frames.remove(&TaskKey(0)).expect("resident");
         assert_eq!(task.key, TaskKey(0));
         assert!(frames.get(&TaskKey(0)).is_none());
-        task.ancestors.reserve(8);
+        task.children.reserve(8);
         frames.recycle(task);
         assert_eq!(frames.retired_len(), 1);
 
-        frames.insert(TaskKey(2), &packet(3));
+        let p = packet(3);
+        let (args, ancestors) = (p.demand.args.clone(), p.ancestors.as_ptr());
+        frames.insert(TaskKey(2), p);
         assert_eq!(frames.index[&TaskKey(2)], slot);
         assert_eq!(frames.chunks.len(), 1);
         assert_eq!(frames.len(), 2);
@@ -198,8 +202,16 @@ mod tests {
         let revived = frames.get(&TaskKey(2)).expect("resident");
         assert_eq!(revived.key, TaskKey(2));
         assert_eq!(revived.stamp, LevelStamp::root().child(3));
-        assert_eq!(revived.ancestors.len(), 1);
-        assert!(revived.ancestors.capacity() >= 8, "kept its buffers");
+        assert!(revived.children.capacity() >= 8, "kept its children table");
+        assert!(
+            std::ptr::eq(revived.eval.args(), &*args),
+            "took the packet's argument list"
+        );
+        assert_eq!(
+            revived.ancestors.as_ptr(),
+            ancestors,
+            "took the packet's ancestor buffer"
+        );
     }
 
     #[test]
@@ -207,7 +219,7 @@ mod tests {
         let mut frames = Frames::default();
         let mut seen: Vec<usize> = Vec::new();
         for k in 0..(4 + 4 + 8 + 16 + 32 + 64 + 64) {
-            frames.insert(TaskKey(k), &packet(1));
+            frames.insert(TaskKey(k), packet(1));
             let now = capacities(&frames);
             assert_eq!(now[..seen.len()], seen[..], "a chunk was resized");
             seen = now;
@@ -228,7 +240,7 @@ mod tests {
             rng ^= rng << 17;
             let resident: Vec<TaskKey> = model.keys().copied().collect();
             if resident.is_empty() || rng % 5 < 3 {
-                frames.insert(TaskKey(next), &packet(1));
+                frames.insert(TaskKey(next), packet(1));
                 model.insert(TaskKey(next), ());
                 next += 1;
             } else {

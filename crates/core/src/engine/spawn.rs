@@ -66,22 +66,24 @@ impl Engine {
             }
         }
         // Accept locally, reviving a retired task frame when one exists.
+        // The ack is built first: the frame takes the packet.
         let key = TaskKey(self.next_key);
         self.next_key += 1;
-        self.tasks.insert(key, &p);
+        let ack = Msg::ack(
+            p.stamp.clone(),
+            TaskAddr::new(self.id, key),
+            p.parent.addr,
+            p.incarnation,
+        );
         self.by_stamp.insert(p.stamp.clone(), key);
         self.stats.tasks_created += 1;
         if self.log_created {
             self.created_log.push(p.stamp.clone());
         }
+        let parent = p.parent.addr.proc;
+        self.tasks.insert(key, p);
         self.enqueue(key);
-        let ack = Msg::ack(
-            p.stamp,
-            TaskAddr::new(self.id, key),
-            p.parent.addr,
-            p.incarnation,
-        );
-        self.send(sink, p.parent.addr.proc, ack);
+        self.send(sink, parent, ack);
     }
 
     pub(super) fn on_ack(
@@ -313,7 +315,7 @@ impl Engine {
         // the result packet instead of cloning them.
         let rp = ResultPacket {
             from_stamp: task.stamp.clone(),
-            demand: Demand::new(task.eval.fun(), task.eval.take_args()),
+            demand: Demand::shared(task.eval.fun(), task.eval.take_args()),
             value,
             to: task.parent.addr,
             to_stamp: std::mem::replace(&mut task.parent.stamp, LevelStamp::root()),

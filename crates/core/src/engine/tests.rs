@@ -189,6 +189,47 @@ fn task_frames_are_recycled_across_generations() {
     assert!(e.checkpoints().is_empty());
 }
 
+#[test]
+fn a_spawned_demand_shares_one_argument_list() {
+    // The walker allocates each new demand's arguments once. The call
+    // cache, the child record (the checkpoint), the spawn packet and the
+    // frame that accepts the packet all hold that one list.
+    let w = Workload::fib(10);
+    let mut e = engine_for(&w, RecoveryMode::Splice);
+    pump(&mut e, Msg::spawn(root_packet(&w)));
+    let owner = e.pop_ready().expect("root frame queued");
+    let mut sink = ActionSink::new();
+    e.run_wave(owner, &mut sink);
+    let spawns: Vec<TaskPacket> = sink
+        .drain_to_vec()
+        .into_iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                msg: Msg::Spawn(p), ..
+            } => Some(*p),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(spawns.len(), 2, "fib(10) demands fib(9) and fib(8)");
+    let task = e.tasks.get(&owner).expect("owner waits on its children");
+    for p in &spawns {
+        let child = &task.children[&p.stamp];
+        assert!(Arc::ptr_eq(&child.demand.args, &p.demand.args));
+        let issued = task.eval.cached_demand(&p.demand).expect("issued");
+        assert!(Arc::ptr_eq(&issued.args, &p.demand.args));
+    }
+
+    let p = spawns.into_iter().next().expect("a spawn");
+    let (stamp, args) = (p.stamp.clone(), Arc::clone(&p.demand.args));
+    pump(&mut e, Msg::spawn(p));
+    let key = e.task_by_stamp(&stamp).expect("accepted locally");
+    let frame = e.tasks.get(&key).expect("resident");
+    assert!(
+        std::ptr::eq(frame.eval.args(), &*args),
+        "the frame took the packet's argument list"
+    );
+}
+
 /// Sends every child to one fixed peer (the probe tests need a child
 /// that is placed — and acked — remotely).
 struct PeerPlacer(ProcId);

@@ -106,16 +106,17 @@ pub struct Task {
 }
 
 impl Task {
-    /// Instantiates a task from its packet.
-    pub fn from_packet(key: TaskKey, p: &TaskPacket) -> Task {
+    /// Instantiates a task from its packet, taking over the packet's
+    /// argument list and ancestor buffer without copying them.
+    pub fn from_packet(key: TaskKey, p: TaskPacket) -> Task {
         Task {
             key,
-            stamp: p.stamp.clone(),
-            eval: TaskEval::new(p.demand.fun, p.demand.args.clone()),
-            parent: p.parent.clone(),
-            ancestors: p.ancestors.clone(),
-            replica: p.replica.clone(),
+            stamp: p.stamp,
+            eval: TaskEval::new(p.demand.fun, p.demand.args),
+            parent: p.parent,
+            ancestors: p.ancestors,
             under_replica: p.under_replica || p.replica.is_some(),
+            replica: p.replica,
             incarnation: p.incarnation,
             children: FxHashMap::default(),
             next_digit: 0,
@@ -131,7 +132,7 @@ impl Task {
         Task {
             key: TaskKey(0),
             stamp: LevelStamp::root(),
-            eval: TaskEval::new(splice_applicative::FnId(0), Vec::new()),
+            eval: TaskEval::new(splice_applicative::FnId(0), Default::default()),
             parent: TaskLink::super_root(),
             ancestors: Vec::new(),
             replica: None,
@@ -146,9 +147,10 @@ impl Task {
     }
 
     /// Reinitializes a recycled frame from a packet — the allocation-free
-    /// twin of [`Task::from_packet`]. The frame's maps, buffers and call
-    /// cache keep their capacity across task generations.
-    pub fn reset_from_packet(&mut self, key: TaskKey, p: &TaskPacket) {
+    /// twin of [`Task::from_packet`]. The frame's children table, buffers
+    /// and call cache keep their capacity across task generations; the
+    /// arguments and ancestors are the packet's, moved in.
+    pub fn reset_from_packet(&mut self, key: TaskKey, p: TaskPacket) {
         debug_assert!(
             self.children.is_empty()
                 && self.future_salvages.is_empty()
@@ -156,24 +158,24 @@ impl Task {
             "recycled frame was not cleared"
         );
         self.key = key;
-        self.stamp = p.stamp.clone();
-        self.eval.reset(p.demand.fun, &p.demand.args);
-        self.parent = p.parent.clone();
-        self.ancestors.clear();
-        self.ancestors.extend_from_slice(&p.ancestors);
-        self.replica = p.replica.clone();
+        self.stamp = p.stamp;
+        self.eval.reset(p.demand.fun, p.demand.args);
+        self.parent = p.parent;
+        self.ancestors = p.ancestors;
         self.under_replica = p.under_replica || p.replica.is_some();
+        self.replica = p.replica;
         self.incarnation = p.incarnation;
         self.next_digit = 0;
         self.queued = false;
     }
 
-    /// Drops a retired frame's per-task state, keeping the allocations for
-    /// [`Task::reset_from_packet`].
+    /// Drops a retired frame's per-task state, keeping the children table
+    /// and buffers for [`Task::reset_from_packet`]. The ancestor buffer is
+    /// freed: the next packet brings its own.
     pub fn clear_for_reuse(&mut self) {
         self.children.clear();
         self.future_salvages.clear();
-        self.ancestors.clear();
+        self.ancestors = Vec::new();
         self.ckpt_pending.clear();
     }
 
@@ -248,7 +250,7 @@ mod tests {
 
     #[test]
     fn from_packet_copies_links() {
-        let t = Task::from_packet(TaskKey(5), &packet(&[1, 2]));
+        let t = Task::from_packet(TaskKey(5), packet(&[1, 2]));
         assert_eq!(t.stamp, LevelStamp::from_digits(&[1, 2]));
         assert_eq!(t.incarnation, 2);
         assert_eq!(t.eval.args(), &[Value::Int(3)]);
@@ -257,7 +259,7 @@ mod tests {
 
     #[test]
     fn child_stamps_are_sequential() {
-        let mut t = Task::from_packet(TaskKey(0), &packet(&[1]));
+        let mut t = Task::from_packet(TaskKey(0), packet(&[1]));
         assert_eq!(t.next_child_stamp(), LevelStamp::from_digits(&[1, 1]));
         assert_eq!(t.next_child_stamp(), LevelStamp::from_digits(&[1, 2]));
         assert_eq!(t.next_child_stamp(), LevelStamp::from_digits(&[1, 3]));
@@ -287,7 +289,7 @@ mod tests {
 
     #[test]
     fn future_salvage_partition_by_subtree() {
-        let mut t = Task::from_packet(TaskKey(0), &packet(&[1]));
+        let mut t = Task::from_packet(TaskKey(0), packet(&[1]));
         let mk = |dead: &[u32]| SalvagePacket {
             to: TaskAddr::new(ProcId(0), TaskKey(0)),
             dead_stamp: LevelStamp::from_digits(dead),
@@ -306,7 +308,7 @@ mod tests {
 
     #[test]
     fn register_and_lookup_children() {
-        let mut t = Task::from_packet(TaskKey(0), &packet(&[1]));
+        let mut t = Task::from_packet(TaskKey(0), packet(&[1]));
         let d = Demand::new(FnId(1), vec![Value::Int(4)]);
         let stamp = t.next_child_stamp();
         t.register_child(ChildInfo {

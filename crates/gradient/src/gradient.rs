@@ -112,24 +112,31 @@ impl GradientPlacer {
 
     /// The live neighbour with the smallest penalty-adjusted proximity;
     /// ties are rotated so repeated exports spread across equally good
-    /// directions.
+    /// directions. One pass counts the ties, a second takes the
+    /// `tie_rotor`-th of them, so placement allocates nothing.
     fn best_neighbor(&mut self, avoid: &FxHashSet<ProcId>) -> Option<ProcId> {
-        let best = self
+        let mut best = u32::MAX;
+        let mut ties = 0;
+        for n in self.neighbors.iter().filter(|n| !avoid.contains(n)) {
+            let cost = self.neighbor_cost(n);
+            if ties == 0 || cost < best {
+                best = cost;
+                ties = 1;
+            } else if cost == best {
+                ties += 1;
+            }
+        }
+        if ties == 0 {
+            return None;
+        }
+        let pick = self
             .neighbors
             .iter()
-            .filter(|n| !avoid.contains(n))
-            .map(|n| (self.neighbor_cost(n), *n))
-            .min_by_key(|(p, _)| *p)?;
-        let candidates: Vec<ProcId> = self
-            .neighbors
-            .iter()
-            .filter(|n| !avoid.contains(n))
-            .filter(|n| self.neighbor_cost(n) == best.0)
-            .copied()
-            .collect();
-        let pick = candidates[self.tie_rotor % candidates.len()];
+            .filter(|n| !avoid.contains(n) && self.neighbor_cost(n) == best)
+            .nth(self.tie_rotor % ties)
+            .copied();
         self.tie_rotor = self.tie_rotor.wrapping_add(1);
-        Some(pick)
+        pick
     }
 }
 
@@ -263,6 +270,26 @@ mod tests {
         let a = p.place(&pkt(0), &FxHashSet::default());
         let b = p.place(&pkt(0), &FxHashSet::default());
         assert_ne!(a, b, "equal-proximity neighbours share the surplus");
+    }
+
+    #[test]
+    fn ties_rotate_in_neighbor_order_past_avoided_ones() {
+        let mut p = GradientPlacer::new(
+            ProcId(0),
+            vec![ProcId(1), ProcId(2), ProcId(3)],
+            GradientConfig::default(),
+        );
+        p.set_local_pressure(10);
+        for n in 1..=3 {
+            p.on_load(ProcId(n), 2);
+        }
+        let dead: FxHashSet<ProcId> = [ProcId(2)].into_iter().collect();
+        let picks: Vec<ProcId> = (0..5).map(|_| p.place(&pkt(0), &dead)).collect();
+        assert_eq!(
+            picks,
+            [ProcId(1), ProcId(3), ProcId(1), ProcId(3), ProcId(1)],
+            "each export takes the next live tie, in neighbour order"
+        );
     }
 
     #[test]

@@ -81,7 +81,7 @@ fn fold_value(h: u64, v: &Value) -> u64 {
 
 fn fold_demand(h: u64, d: &Demand) -> u64 {
     let mut h = fnv_mix(fnv_mix(h, u64::from(d.fun.0)), d.args.len() as u64);
-    for a in &d.args {
+    for a in d.args.iter() {
         h = fold_value(h, a);
     }
     h

@@ -30,6 +30,7 @@ use splice_core::packet::{
 };
 use splice_core::stamp::LevelStamp;
 use std::fmt;
+use std::sync::Arc;
 
 /// Codec revision carried in every frame's version byte. Bump on any
 /// incompatible layout change; a mismatched peer surfaces as a
@@ -209,7 +210,7 @@ impl<'a> Enc<'a> {
     pub fn demand(&mut self, d: &Demand) {
         self.u32v(d.fun.0);
         self.u64v(d.args.len() as u64);
-        for a in &d.args {
+        for a in d.args.iter() {
             self.value(a);
         }
     }
@@ -358,15 +359,30 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// A demand.
+    /// A demand. The arguments are decoded straight into the shared list
+    /// the engine keeps: one allocation of exactly `n` values, none when
+    /// `n` is 0. The first error stops decoding; the slots after it hold
+    /// `Unit` until the list is dropped.
     pub fn demand(&mut self) -> Result<Demand, CodecError> {
         let fun = FnId(self.u32v()?);
         let n = self.len_guard(1)?;
-        let mut args = Vec::with_capacity(n);
-        for _ in 0..n {
-            args.push(self.value()?);
+        if n == 0 {
+            return Ok(Demand::shared(fun, Arc::default()));
         }
-        Ok(Demand::new(fun, args))
+        let mut failed = None;
+        let args: Arc<[Value]> = (0..n)
+            .map(|_| match failed {
+                Some(_) => Value::Unit,
+                None => self.value().unwrap_or_else(|e| {
+                    failed = Some(e);
+                    Value::Unit
+                }),
+            })
+            .collect();
+        match failed {
+            None => Ok(Demand::shared(fun, args)),
+            Some(e) => Err(e),
+        }
     }
 
     /// An optional replica tag.

@@ -5,18 +5,22 @@
 //! of returning fresh `Vec<Action>`s, task frames are recycled in a
 //! per-engine slab, wave evaluation runs on pooled scratch, and a
 //! functional checkpoint is a field of the recycled child record, not a
-//! copy of the packet. What remains is genuinely new data (spawn packets,
-//! values). This test pins that property with a counting global allocator:
+//! copy of the packet. A new demand's argument list is allocated once and
+//! shared by the call cache, the child record, the spawn packet and the
+//! child frame. What remains is genuinely new data (spawn packets, values,
+//! message boxes). This test pins that property with a counting global
+//! allocator:
 //! a full fault-free fib(12) simulation must stay under a fixed allocation
 //! budget, and checkpointing must not add a single allocation over the same
 //! run with recovery off. The pipeline without pooled sinks and frames
 //! performed ~15,000 allocations on this run, with them ~8,100 while
 //! checkpoints still copied the packet, ~6,900 while every frame kept a
-//! second by-demand map, 6,211 while frames sat inline in a hash map, and
-//! 5,983 now. The ceiling sits between the unpooled count and the measured
-//! one, so the guard trips on systematic regressions (a reintroduced
-//! per-handler `Vec`, a lost pool), not on noise — and the unpooled
-//! pipeline would fail it.
+//! second by-demand map, 6,211 while frames sat inline in a hash map,
+//! 5,983 while every spawn copied its argument vector into the call cache,
+//! the child record, the packet and the frame, and 3,702 now. The ceiling
+//! sits just above the measured count, so the guard trips on systematic
+//! regressions (a reintroduced argument copy, a per-handler `Vec`, a lost
+//! pool), not on noise — and the copying pipeline would fail it.
 //!
 //! The allocator also tracks live requested bytes, so the same run pins
 //! its peak heap: task frames dominate it, and a frame that grows (an
@@ -117,9 +121,10 @@ static ALLOCATOR: Counting = Counting;
 /// the `size_of::<Action>` companion pin lives at the end of this test.
 #[test]
 fn steady_state_pump_stays_under_allocation_ceiling() {
-    const CEILING: u64 = 12_000;
-    // Peak live bytes above the run's start: 617,188 with frames in a
-    // chunked slab and recycled calendar day buffers, 970,496 with frames
+    const CEILING: u64 = 4_500;
+    // Peak live bytes above the run's start: 577,136 with shared demand
+    // arguments, 617,188 with frames in a chunked slab and recycled
+    // calendar day buffers, 970,496 with frames
     // inline in the task map and every day keeping its buffer, 1,256,576
     // before one children map per frame and boxed vote groups.
     const PEAK_CEILING: u64 = 700_000;
