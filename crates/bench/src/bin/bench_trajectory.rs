@@ -24,12 +24,10 @@ use splice_applicative::eval::eval_call;
 use splice_applicative::wave::run_local;
 use splice_bench::{
     assert_correct, config, e11_workload, e14_cases, e14_config, e14_workload, e16_config,
-    e16_threads_config, e16_workload, e18_config, e18_workload, event_queue_push_pop_10k,
-    substrate_workload, torus_distance_64x64, E11_SWEEP, E16_ENGINES, E16_THREADS,
-    E16_THREAD_ENGINES,
+    e16_workload, e18_config, e18_workload, event_queue_push_pop_10k, substrate_workload,
+    torus_distance_64x64, E11_SWEEP, E16_ENGINES,
 };
 use splice_sim::machine::run_workload;
-use splice_sim::parallel::run_parallel_reactor;
 use splice_sim::reactor::run_reactor;
 use splice_simnet::fault::FaultPlan;
 use splice_simnet::time::VirtualTime;
@@ -133,30 +131,6 @@ fn e16_metrics(samples: usize) -> Vec<(String, u64)> {
             assert_correct(&w, &r);
         });
         out.push((format!("n{engines}_fault_free"), ns));
-    }
-    out
-}
-
-fn e16_threads_metrics(samples: usize) -> Vec<(String, u64)> {
-    // Identical scenario to the fault-free sweep of benches/e16_threads.rs:
-    // the parallel reactor's completion wall-clock per (pumps, engines)
-    // cell. Speedup across the thread axis is a property of the recording
-    // container's core count — a single-core host records the barrier
-    // overhead instead, honestly.
-    let w = e16_workload();
-    let mut out = Vec::new();
-    for engines in E16_THREAD_ENGINES {
-        for threads in E16_THREADS {
-            let ns = median_ns(samples, || {
-                let r = run_parallel_reactor(
-                    e16_threads_config(engines, threads),
-                    &w,
-                    &FaultPlan::none(),
-                );
-                assert_correct(&w, &r);
-            });
-            out.push((format!("t{threads}_n{engines}_fault_free"), ns));
-        }
     }
     out
 }
@@ -316,20 +290,17 @@ fn main() {
     let e14 = e14_metrics(run_samples);
     eprintln!("measuring e16 reactor ({run_samples} samples)…");
     let e16 = e16_metrics(run_samples);
-    eprintln!("measuring e16 threads ({run_samples} samples)…");
-    let e16t = e16_threads_metrics(run_samples);
     eprintln!("measuring e18 recovery policies ({run_samples} samples)…");
     let e18 = e18_metrics(run_samples);
     eprintln!("measuring process backend ({run_samples} samples)…");
     let procs = proc_metrics(run_samples);
 
     let run_line = format!(
-        "{{\"label\": \"{label}\", \"method\": \"bench_trajectory\", \"samples\": {{\"substrate\": {micro_samples}, \"experiments\": {run_samples}}}, \"substrate\": {}, \"e11_scalability\": {}, \"e14_sharding\": {}, \"e16_reactor\": {}, \"e16_threads\": {}, \"e18_policies\": {}, \"process\": {}}}",
+        "{{\"label\": \"{label}\", \"method\": \"bench_trajectory\", \"samples\": {{\"substrate\": {micro_samples}, \"experiments\": {run_samples}}}, \"substrate\": {}, \"e11_scalability\": {}, \"e14_sharding\": {}, \"e16_reactor\": {}, \"e18_policies\": {}, \"process\": {}}}",
         json_object(&substrate),
         json_object(&e11),
         json_object(&e14),
         json_object(&e16),
-        json_object(&e16t),
         json_object(&e18),
         json_object(&procs),
     );
@@ -345,9 +316,6 @@ fn main() {
     }
     for (k, v) in &e16 {
         println!("e16/{k:<34} {v:>12} ns");
-    }
-    for (k, v) in &e16t {
-        println!("e16_threads/{k:<26} {v:>12} ns");
     }
     for (k, v) in &e18 {
         println!("e18/{k:<34} {v:>12} ns");

@@ -178,23 +178,6 @@ pub fn e16_workload() -> Workload {
 /// users"-shaped counts no thread-per-processor backend can host.
 pub const E16_ENGINES: [u32; 4] = [64, 256, 1024, 4096];
 
-/// The E16-threads machine: the same engines on the multi-core parallel
-/// reactor, partitioned across `threads` pumps. Identical knobs to
-/// [`e16_config`] so the single-pump reactor and the one-thread parallel
-/// reactor are directly comparable.
-pub fn e16_threads_config(engines: u32, threads: u32) -> MachineConfig {
-    let mut cfg = e16_config(engines);
-    cfg.threads = threads;
-    cfg
-}
-
-/// The E16-threads pump counts.
-pub const E16_THREADS: [u32; 3] = [1, 2, 4];
-
-/// The E16-threads engine counts — the top of the single-thread sweep
-/// plus a tier no per-engine-thread backend could host.
-pub const E16_THREAD_ENGINES: [u32; 2] = [4_096, 16_384];
-
 /// The E18 machine: 8 processors, splice recovery, the given recovery
 /// policy. Shared by `benches/e18_policies.rs` and the `bench_trajectory`
 /// bin so both time the same policy zoo.

@@ -23,12 +23,10 @@
 //! * [`batch`] — [`BatchingSubstrate`], the coalescing-bus decorator:
 //!   buffers same-pump sends and delivers them per `(from, to)` envelope
 //!   after a configurable flush window (experiment E15);
-//! * [`parallel`] — [`ReactorCluster`], the cooperative reactor: one
-//!   [`Pump`] per core (per-engine mailboxes, a ready queue with waker
+//! * [`parallel`] — [`Pump`], the cooperative reactor: every engine on
+//!   the caller's thread (per-engine mailboxes, a ready queue with waker
 //!   flags, timer and delayed-send wheels — no thread-per-processor
-//!   limit), cross-reactor sends over per-pair bounded links,
-//!   barrier-granular work stealing, driven in virtual-clock rounds by a
-//!   coordinating front-end; one pump runs inline on the caller's thread;
+//!   limit), driven in virtual-clock rounds by a front-end;
 //! * [`timer`] — [`TimerWheel`], the earliest-deadline store (engine
 //!   timers by default, any payload — the reactor parks delayed sends on
 //!   it too) used by substrates whose clock is not an event queue;
@@ -57,10 +55,7 @@ pub mod trace;
 
 pub use batch::{BatchStats, BatchingSubstrate};
 pub use driver::{DriverLoop, SuperRootDriver};
-pub use parallel::{
-    ClusterMap, Inbound, Migration, Pump, PumpHarvest, PumpSubstrate, ReactorCluster, RoundInput,
-    RoundOutput, Transfer,
-};
+pub use parallel::{ClusterMap, Delivery, Inbound, Pump, PumpHarvest, PumpSubstrate, RoundOutput};
 pub use report::{EngineSnapshot, EngineTotals};
 pub use shard::{ShardMap, ShardRouter, ShardStats};
 pub use substrate::{corrupt_value, death_notice_targets, dispatch, dispatch_iter, Substrate};

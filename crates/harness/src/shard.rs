@@ -97,24 +97,6 @@ impl ShardStats {
         }
     }
 
-    /// Folds `other` into `self` — used by the parallel reactor, where
-    /// each pump runs its own router and the run report wants the
-    /// cluster-wide totals. Link matrices merge when the shard counts
-    /// agree; a single-shard (unallocated) side adopts the other's.
-    pub fn absorb(&mut self, other: &ShardStats) {
-        self.intra_msgs += other.intra_msgs;
-        self.inter_msgs += other.inter_msgs;
-        self.inter_units += other.inter_units;
-        if self.shards <= 1 && other.shards > 1 {
-            self.shards = other.shards;
-            self.per_link = other.per_link.clone();
-        } else if self.shards == other.shards {
-            for (a, b) in self.per_link.iter_mut().zip(&other.per_link) {
-                *a += b;
-            }
-        }
-    }
-
     /// Messages sent from `from` shard to `to` shard across the router.
     pub fn link(&self, from: u32, to: u32) -> u64 {
         if from >= self.shards || to >= self.shards {

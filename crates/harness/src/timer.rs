@@ -86,27 +86,6 @@ impl<T: Ord, P> TimerWheel<T, P> {
         self.heap.peek().map(|e| &e.at)
     }
 
-    /// Removes every armed payload matching `pred` and returns them with
-    /// their deadlines, ordered by `(deadline, arming order)` — the order
-    /// they would have fired in. Entries that stay keep their original
-    /// arming sequence, so relative firing order among them is unchanged.
-    /// Used when an engine migrates between reactor pumps: its pending
-    /// timers travel with it and re-arm on the destination wheel.
-    pub fn extract_if(&mut self, mut pred: impl FnMut(&P) -> bool) -> Vec<(T, P)> {
-        let mut kept: Vec<Entry<T, P>> = Vec::with_capacity(self.heap.len());
-        let mut out: Vec<Entry<T, P>> = Vec::new();
-        for e in std::mem::take(&mut self.heap).into_vec() {
-            if pred(&e.payload) {
-                out.push(e);
-            } else {
-                kept.push(e);
-            }
-        }
-        self.heap = BinaryHeap::from(kept);
-        out.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
-        out.into_iter().map(|e| (e.at, e.payload)).collect()
-    }
-
     /// Number of armed payloads.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -156,25 +135,5 @@ mod tests {
         assert_eq!(w.pop_due(&10), Some("first"));
         assert_eq!(w.pop_due(&10), Some("second"));
         assert!(w.pop_due(&10).is_none());
-    }
-
-    #[test]
-    fn extract_if_takes_matches_in_firing_order_and_keeps_the_rest() {
-        let mut w: TimerWheel<u64, (u32, &str)> = TimerWheel::new();
-        w.arm(30, (1, "late"));
-        w.arm(10, (2, "other-a"));
-        w.arm(10, (1, "tie-a"));
-        w.arm(10, (1, "tie-b"));
-        w.arm(5, (2, "other-b"));
-        let taken = w.extract_if(|(owner, _)| *owner == 1);
-        assert_eq!(
-            taken,
-            vec![(10, (1, "tie-a")), (10, (1, "tie-b")), (30, (1, "late"))],
-            "matches come out in (deadline, arming) order"
-        );
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.pop_due(&100), Some((2, "other-b")));
-        assert_eq!(w.pop_due(&100), Some((2, "other-a")));
-        assert!(w.extract_if(|_| true).is_empty(), "wheel fully drained");
     }
 }

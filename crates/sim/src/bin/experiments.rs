@@ -126,9 +126,6 @@ fn main() {
             &[64, 256, 1024, 4096]
         };
         println!("{}", ex::e16_reactor(&w, counts));
-        let threads: &[u32] = &[1, 2, 4];
-        let tcounts: &[u32] = if quick { &[512] } else { &[4096, 16384] };
-        println!("{}", ex::e16_threads(&w, threads, tcounts));
     }
     if want("e12") {
         println!(

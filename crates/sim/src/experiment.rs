@@ -1026,66 +1026,6 @@ pub fn e16_reactor(w: &Workload, engine_counts: &[u32]) -> Table {
     t
 }
 
-/// E16 (threads): the multi-core parallel reactor across a threads ×
-/// engines sweep — each row partitions the engines over that many pump
-/// threads, runs fault-free, then again with a mid-run crash of one
-/// engine. Virtual finish times stay identical across thread counts (the
-/// BSP clock charges the same parallel work either way); wall
-/// milliseconds show what the host's cores actually buy, and the
-/// cross-reactor message and steal counts show the partition at work.
-pub fn e16_threads(w: &Workload, thread_counts: &[u32], engine_counts: &[u32]) -> Table {
-    let mut t = Table::new(
-        format!(
-            "E16 (threads): parallel reactor, pumps x engines [{}]",
-            w.name
-        ),
-        &[
-            "threads",
-            "engines",
-            "ff finish",
-            "ff wall ms",
-            "crash finish",
-            "slowdown",
-            "correct",
-            "cross msgs",
-            "steals",
-        ],
-    );
-    for &engines in engine_counts {
-        for &threads in thread_counts {
-            let mut cfg = MachineConfig::new(engines);
-            cfg.recovery.mode = RecoveryMode::Splice;
-            cfg.policy = Policy::RoundRobin;
-            cfg.recovery.load_beacon_period = 0;
-            cfg.threads = threads;
-            let t0 = std::time::Instant::now();
-            let fault_free =
-                crate::parallel::run_parallel_reactor(cfg.clone(), w, &FaultPlan::none());
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let crash = VirtualTime((fault_free.finish.ticks() / 2).max(1));
-            let r = crate::parallel::run_parallel_reactor(
-                cfg,
-                w,
-                &FaultPlan::crash_at(engines / 2, crash),
-            );
-            let correct = fault_free.result == Some(w.reference_result().unwrap())
-                && r.result == Some(w.reference_result().unwrap());
-            t.row(vec![
-                threads.to_string(),
-                engines.to_string(),
-                fault_free.finish.ticks().to_string(),
-                fmt_f(wall_ms),
-                r.finish.ticks().to_string(),
-                fmt_f(r.slowdown_vs(&fault_free)),
-                correct.to_string(),
-                r.msgs_cross_reactor.to_string(),
-                r.steals.to_string(),
-            ]);
-        }
-    }
-    t
-}
-
 // ---------------------------------------------------------------------------
 // E18 — recovery-policy zoo (extension)
 // ---------------------------------------------------------------------------
@@ -1344,24 +1284,5 @@ mod tests {
         assert!(cell("lazy", "1", 8) > 0);
         assert!(cell("lazy", "1", 8) <= cell("lazy", "1", 7));
         assert_eq!(cell("eager", "1", 8), 0);
-    }
-
-    #[test]
-    fn e16_threads_stays_correct_and_thread_invariant() {
-        let w = Workload::fib(12);
-        let t = e16_threads(&w, &[1, 2], &[32]);
-        assert_eq!(t.rows.len(), 2);
-        for row in &t.rows {
-            assert_eq!(row[6], "true", "{} threads must stay correct", row[0]);
-        }
-        // The BSP clock charges the same parallel work regardless of how
-        // many pump threads host the partition: fault-free virtual finish
-        // times are identical across thread counts.
-        assert_eq!(
-            t.rows[0][2], t.rows[1][2],
-            "ff finish must not depend on threads"
-        );
-        // Two pumps over a round-robin-placed tree must actually talk.
-        assert!(t.rows[1][7].parse::<u64>().unwrap() > 0);
     }
 }

@@ -4,12 +4,11 @@
 //! * [`machine`] — N protocol engines over the DES substrate, with fault
 //!   injection, failure detection and a reliable super-root;
 //! * [`parallel`] — the same engines over the cooperative reactor:
-//!   thousands of `DriverLoop`s pumped from ready queues, one pump per
-//!   core, BSP virtual-clock rounds, work stealing across pumps —
-//!   deterministic for a fixed thread count, verdict/value-par with every
-//!   other backend (same `MachineConfig`/`FaultPlan` in, same `RunReport`
-//!   out);
-//! * [`reactor`] — that reactor at one pump, on the caller's thread;
+//!   thousands of `DriverLoop`s pumped from one ready queue on the
+//!   caller's thread, in virtual-clock rounds — deterministic,
+//!   verdict/value-par with every other backend (same
+//!   `MachineConfig`/`FaultPlan` in, same `RunReport` out);
+//! * [`reactor`] — that reactor under its short name;
 //! * [`proc`] (unix) — the multi-process shard substrate: shards run as
 //!   separate OS processes over Unix domain sockets speaking the
 //!   `splice-simnet` wire codec, with reconnect/backoff transport and

@@ -64,9 +64,9 @@ pub struct MachineConfig {
     pub batch_window: u64,
     /// Seed for stochastic placers and jitter.
     pub seed: u64,
-    /// OS threads (reactor pumps) the reactor backend spreads the engines
-    /// over (`ReactorMachine` forces 1); the DES ignores it. Clamped to
-    /// `[1, n_procs]` at machine build time.
+    /// Inert: every backend ignores it (the reactor runs one pump on the
+    /// caller's thread). Kept only because the repo benchmark
+    /// (`perfbench/`) still writes it.
     pub threads: u32,
     /// Hard event budget (guards against divergence).
     pub max_events: u64,

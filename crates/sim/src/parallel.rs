@@ -1,51 +1,39 @@
-//! The reactor machine: one cooperative reactor pump per core.
+//! The reactor machine: one cooperative pump on the caller's thread.
 //!
 //! [`ParallelReactorMachine`] is the reactor backend front-end: the same
 //! [`MachineConfig`] and [`FaultPlan`] in, the same [`RunReport`] out, but
-//! execution spreads the engines over `cfg.threads` reactor pumps
-//! ([`splice_harness::ReactorCluster`]), each an OS thread running the
-//! cooperative-reactor loop over its partition: messages deliver promptly
-//! into per-engine mailboxes (no latency model), deadlines ride timer
-//! wheels, and there is no thread-per-processor limit. Cross-reactor sends
-//! travel over per-pair bounded channels; engines migrate between pumps
-//! when the coordinator sees a load imbalance (barrier-granular work
-//! stealing). The scheduling discipline — cooperative round-robin over
-//! wake order, neither global time order nor the OS — is what makes it an
-//! independent scheduler for the differential fuzz suite.
+//! execution is a single [`Pump`] running the cooperative-reactor loop
+//! over every engine: messages deliver promptly into per-engine mailboxes
+//! (no latency model), deadlines ride timer wheels, and there is no
+//! thread-per-processor limit. The scheduling discipline — cooperative
+//! round-robin over wake order, neither global time order nor the OS — is
+//! what makes it an independent scheduler for the differential fuzz suite
+//! (`tests/backend_fuzz.rs`).
 //!
-//! **Determinism.** The pumps run in BSP-style rounds: within a round each
-//! pump is sequential over its own deterministic state, and everything
-//! that crosses a pump boundary (envelopes, the virtual clock, faults,
-//! super-root traffic, migration commits) moves only at the barrier, in
-//! pump order. The interleaving of OS threads therefore never reaches the
-//! protocol: a run is a pure function of `(config, workload, plan)` — the
-//! property the differential fault-plan fuzz suite
-//! (`tests/backend_fuzz.rs`) checks against the DES at several thread
-//! counts.
+//! **Determinism.** The pump runs in rounds. Everything the front-end
+//! owns (the virtual clock, faults, super-root traffic) moves only between
+//! rounds, so a run is a pure function of `(config, workload, plan)`.
+//! `cfg.threads` is ignored: the name is historical, and a run reports
+//! one thread, no steals and no cross-pump messages whatever it asks for.
 //!
-//! **Clock semantics.** The pumps serialize waves onto a few real threads,
-//! but the machine they emulate runs its engines in parallel — so the
-//! cluster clock advances at barriers by the round's summed wave cost
-//! divided by the live engine count (with a deterministic remainder
-//! carry). Charging full serial cost would make virtual time race ahead
-//! of per-engine progress by a factor of the engine count: every spawn's
-//! ack timeout would expire before the child's scheduling turn came
-//! around, and the resulting reissue storm diverges at thousands of
-//! engines. A round executes at most
-//! [`WAVE_BURST`](splice_harness::parallel::WAVE_BURST) waves per ready
-//! engine, so the per-round charge is bounded by a few wave costs and
-//! fault plans written in virtual time land mid-run with the same
+//! **Clock semantics.** The pump serializes waves onto one thread, but the
+//! machine it emulates runs its engines in parallel — so the clock
+//! advances between rounds by the round's summed wave cost divided by the
+//! live engine count (with a deterministic remainder carry). Charging full
+//! serial cost would make virtual time race ahead of per-engine progress
+//! by a factor of the engine count: every spawn's ack timeout would expire
+//! before the child's scheduling turn came around, and the resulting
+//! reissue storm diverges at thousands of engines. A round executes at
+//! most [`WAVE_BURST`](splice_harness::parallel::WAVE_BURST) waves per
+//! ready engine, so the per-round charge is bounded by a few wave costs
+//! and fault plans written in virtual time land mid-run with the same
 //! granularity as on the other backends.
 //!
-//! With `threads == 1` the single pump runs inline on the coordinator
-//! thread — no channels, no barriers to wait on: that configuration is the
-//! single-thread reactor ([`ReactorMachine`](crate::reactor::ReactorMachine)).
-//!
 //! **Lazy engines.** Construction builds one placer per engine, not one
-//! engine: each pump builds an engine's driver loop when the engine first
-//! has to act (its first input, a migration, or a start that arms a load
-//! beacon). In a large fleet most engines never hear from anyone and never
-//! cost more than their placer; the report counts them as fresh engines.
+//! engine: the pump builds an engine's driver loop when the engine first
+//! has to act (its first input, or a start that arms a load beacon). In a
+//! large fleet most engines never hear from anyone and never cost more
+//! than their placer; the report counts them as fresh engines.
 
 use crate::machine::MachineConfig;
 use crate::report::{RunCounters, RunReport};
@@ -56,28 +44,23 @@ use splice_core::packet::Msg;
 use splice_core::place::Placer;
 use splice_core::sink::ActionSink;
 use splice_harness::{
-    ClusterMap, DriverLoop, EngineSnapshot, EngineTotals, Pump, PumpHarvest, ReactorCluster,
-    RoundInput, RoundOutput, ShardMap, Substrate, SuperRootDriver, TimerWheel, Transfer,
+    ClusterMap, Delivery, EngineSnapshot, EngineTotals, Pump, ShardMap, Substrate, SuperRootDriver,
+    TimerWheel,
 };
 use splice_simnet::fault::{FaultKind, FaultOutcome, FaultPlan, PlanRun};
 use splice_simnet::time::VirtualTime;
 use splice_simnet::trace::{TraceEvent, TraceKind, Tracer};
 use std::sync::Arc;
 
-/// A pump must be this many ready engines ahead of the laziest pump (and
-/// at least this loaded in absolute terms) before the coordinator migrates
-/// work — hysteresis so transient ripples do not thrash engines around.
-const STEAL_THRESHOLD: usize = 8;
-
-/// The coordinator-side [`Substrate`] the [`SuperRootDriver`] runs
-/// against: sends become [`Transfer`]s injected into the destination
-/// pump's next round, timers ride a coordinator-local wheel. The driver
-/// link is reliable and out-of-band, exactly like every other backend.
+/// The front-end-side [`Substrate`] the [`SuperRootDriver`] runs against:
+/// sends are injected into the pump's next round, timers ride a
+/// front-end wheel. The driver link is reliable and out-of-band, exactly
+/// like every other backend.
 struct CoordSub {
     cluster: Arc<ClusterMap>,
     now: u64,
-    /// Per-pump injection buffers for the next round.
-    inject: Vec<Vec<Transfer>>,
+    /// Sends for the next round.
+    inject: Vec<Delivery>,
     timers: TimerWheel<u64, Timer>,
 }
 
@@ -101,8 +84,7 @@ impl Substrate for CoordSub {
             // else.
             return;
         }
-        let pump = self.cluster.pump_of(to) as usize;
-        self.inject[pump].push(Transfer::Deliver { from, to, msg });
+        self.inject.push(Delivery { from, to, msg });
     }
 
     fn arm_timer(&mut self, _owner: ProcId, timer: Timer, delay: u64) {
@@ -110,27 +92,25 @@ impl Substrate for CoordSub {
     }
 
     fn report_death(&mut self, _dead: ProcId) {
-        // Death notices to workers are the pumps' job; the coordinator
+        // Death notices to workers are the pump's job; the front-end
         // hands the super-root its notice directly.
     }
 
     fn complete_wave(&mut self, _proc: ProcId, _sink: &mut ActionSink, _work: u64) {}
 }
 
-/// The multi-core reactor machine.
+/// The reactor machine. The name is historical: it runs one pump.
 pub struct ParallelReactorMachine {
     program: Arc<Program>,
     cluster: Arc<ClusterMap>,
-    fleet: ReactorCluster,
+    pump: Pump,
     superroot: SuperRootDriver,
     csub: CoordSub,
     cfg: MachineConfig,
 }
 
 impl ParallelReactorMachine {
-    /// Builds a parallel-reactor machine for `workload`;
-    /// `cfg.threads` pumps (clamped to `[1, n]`), engines partitioned in
-    /// contiguous blocks.
+    /// Builds a reactor machine for `workload`; `cfg.threads` is ignored.
     pub fn new(cfg: MachineConfig, workload: &Workload) -> ParallelReactorMachine {
         let topo = cfg.topology.clone();
         let policy = cfg.policy;
@@ -143,54 +123,39 @@ impl ParallelReactorMachine {
         })
     }
 
-    /// Builds a parallel-reactor machine with custom placers.
+    /// Builds a reactor machine with custom placers.
     pub fn with_placer_factory(
         cfg: MachineConfig,
         workload: &Workload,
-        mut factory: impl FnMut(ProcId) -> Box<dyn Placer>,
+        factory: impl FnMut(ProcId) -> Box<dyn Placer>,
     ) -> ParallelReactorMachine {
         let n = cfg.topology.len();
         assert!(n >= 1, "need at least one processor");
-        let t = cfg.threads.clamp(1, n);
         let program = Arc::new(workload.program.clone());
-        let recovery = cfg.engine_recovery();
-        // Contiguous block partition: pump i starts at floor(i*n/t).
-        let pump_of = |p: u32| -> u32 { ((u64::from(p) * u64::from(t)) / u64::from(n)) as u32 };
-        let cluster = Arc::new(ClusterMap::new(n, cfg.detector.broadcast, pump_of));
-        let map = ShardMap::new(cfg.topology.shard_count(), cfg.topology.per_shard());
-        let mut pumps = Vec::with_capacity(t as usize);
+        let cluster = Arc::new(ClusterMap::new(n, cfg.detector.broadcast));
         // Placers are built here, in roster order; the engines themselves
-        // are built by their pump when they first have to act.
-        let mut roster: Vec<Vec<(ProcId, Box<dyn Placer>)>> = (0..t).map(|_| Vec::new()).collect();
-        for i in 0..n {
-            roster[pump_of(i) as usize].push((ProcId(i), factory(ProcId(i))));
-        }
-        for (i, placers) in roster.into_iter().enumerate() {
-            pumps.push(Pump::new(
-                i as u32,
-                t,
-                cluster.clone(),
-                placers,
-                program.clone(),
-                recovery.clone(),
-                map,
-                cfg.router_latency,
-                cfg.batch_window,
-                cfg.trace,
-            ));
-        }
-        let fleet = ReactorCluster::new(pumps, cluster.clone());
+        // are built by the pump when they first have to act.
+        let pump = Pump::new(
+            cluster.clone(),
+            (0..n).map(ProcId).map(factory).collect(),
+            program.clone(),
+            cfg.engine_recovery(),
+            ShardMap::new(cfg.topology.shard_count(), cfg.topology.per_shard()),
+            cfg.router_latency,
+            cfg.batch_window,
+            cfg.trace,
+        );
         let superroot = SuperRootDriver::new(workload, &cfg.recovery);
         let csub = CoordSub {
             cluster: cluster.clone(),
             now: 0,
-            inject: (0..t).map(|_| Vec::new()).collect(),
+            inject: Vec::new(),
             timers: TimerWheel::new(),
         };
         ParallelReactorMachine {
             program,
             cluster,
-            fleet,
+            pump,
             superroot,
             csub,
             cfg,
@@ -209,14 +174,13 @@ impl ParallelReactorMachine {
     }
 
     /// Like [`ParallelReactorMachine::run`], but also returns the recorded
-    /// trace events: the coordinator's fault events first, then each
-    /// pump's stream in pump order (empty unless `cfg.trace` records).
+    /// trace events: the front-end's fault events first, then the pump's
+    /// stream (empty unless `cfg.trace` records).
     pub fn run_traced(mut self, faults: &FaultPlan) -> (RunReport, Vec<TraceEvent>) {
-        // The coordinator's own trace head: barrier faults are applied
-        // here, not on any pump, so they are narrated here; pump tracers
-        // are folded in at harvest, in pump order.
+        // The front-end's own trace head: faults are applied here, not in
+        // the pump, so they are narrated here; the pump's tracer is folded
+        // in at harvest.
         let mut tracer = Tracer::new(self.cfg.trace);
-        let t = self.fleet.threads() as usize;
         let mut plan = PlanRun::new(faults, self.cluster.n());
         self.superroot.launch(&mut self.csub);
 
@@ -224,28 +188,19 @@ impl ParallelReactorMachine {
         let mut finish: Option<VirtualTime> = None;
         let mut budget_tripped = false;
         let mut sr_delivered: u64 = 0;
-        let mut steals: u64 = 0;
         let mut carry: u64 = 0;
         let mut kills: Vec<ProcId> = Vec::new();
-        // Recycled round-trip buffers, one set per pump.
-        let mut inputs: Vec<RoundInput> = Vec::with_capacity(t);
-        let mut outs: Vec<RoundOutput> = Vec::with_capacity(t);
-        let mut sr_bufs: Vec<Vec<Msg>> = (0..t).map(|_| Vec::new()).collect();
-        let mut donated_bufs: Vec<Vec<ProcId>> = (0..t).map(|_| Vec::new()).collect();
-        // Per-pump ready-queue depth after the last round, for stealing.
-        let mut ready: Vec<usize> = vec![0; t];
-        let mut donate: Vec<Option<(u32, u32)>> = vec![None; t];
-        let mut any_rounds = false;
+        let mut sr_mail: Vec<Msg> = Vec::new();
 
-        'run: loop {
+        loop {
             events += 1;
             if events > self.cfg.max_events || VirtualTime(self.csub.now) > self.cfg.max_time {
                 budget_tripped = true;
                 break;
             }
-            // Faults due at this barrier. The coordinator owns the global
+            // Faults due before this round. The front-end owns the global
             // transition rules; victims' mailboxes and the death notices
-            // are the pumps' side of the kill list.
+            // are the pump's side of the kill list.
             kills.clear();
             while let Some((ev, outcome)) = plan.pop_due(VirtualTime(self.csub.now)) {
                 let victim = ProcId(ev.victim);
@@ -269,8 +224,8 @@ impl ParallelReactorMachine {
                     FaultOutcome::Ignored => {}
                 }
             }
-            // The super-root's failure notice is the coordinator's to
-            // deliver — once, not once per pump.
+            // The super-root's failure notice is the front-end's to
+            // deliver.
             if self.cluster.broadcast() {
                 for &v in &kills {
                     self.superroot.on_failure(v, &mut self.csub);
@@ -280,7 +235,7 @@ impl ParallelReactorMachine {
             // domain is replica ranks, not processor ids. A deposed
             // primary's successor takes over (reissuing the root wave)
             // inside `crash_replica`; the reissue injects through the
-            // coordinator substrate like any other super-root output.
+            // front-end substrate like any other super-root output.
             while let Some(ev) = plan.pop_due_root(VirtualTime(self.csub.now)) {
                 let applied = self.superroot.replica_live(ev.rank);
                 tracer.emit(
@@ -300,79 +255,17 @@ impl ParallelReactorMachine {
                     );
                 }
             }
-            // Super-root timers due under the barrier clock.
+            // Super-root timers due under the round clock.
             while let Some(timer) = self.csub.timers.pop_due(&self.csub.now) {
                 self.superroot.on_timer(timer, &mut self.csub);
             }
-            // Work stealing: if the last round left one pump far busier
-            // than another, migrate half the gap at this barrier.
-            donate.fill(None);
-            if t > 1 && any_rounds {
-                let (mut hi, mut lo) = (0usize, 0usize);
-                for (i, &r) in ready.iter().enumerate() {
-                    if r > ready[hi] {
-                        hi = i;
-                    }
-                    if r < ready[lo] {
-                        lo = i;
-                    }
-                }
-                if ready[hi] >= STEAL_THRESHOLD && ready[hi] >= 2 * ready[lo] + STEAL_THRESHOLD {
-                    donate[hi] = Some((((ready[hi] - ready[lo]) / 2) as u32, lo as u32));
-                }
-            }
-            // Dispatch the round: every pump gets the barrier clock, the
-            // kill list, its injections and its recycled buffers.
-            for i in 0..t {
-                inputs.push(RoundInput {
-                    now: self.csub.now,
-                    kills: kills.clone(),
-                    inject: std::mem::take(&mut self.csub.inject[i]),
-                    donate: donate[i],
-                    sr_mail_buf: std::mem::take(&mut sr_bufs[i]),
-                    donated_buf: std::mem::take(&mut donated_bufs[i]),
-                });
-            }
-            self.fleet.round(&mut inputs, &mut outs);
-            any_rounds = true;
-            // Merge the barrier: pump order keeps every cross-pump effect
-            // deterministic.
-            let mut waves: u64 = 0;
-            let mut turns: u64 = 0;
-            let mut work: u64 = 0;
-            let mut backlog: u64 = 0;
-            let mut total_ready: usize = 0;
-            let mut sent_cross = false;
-            let mut sr_delayed: u64 = 0;
-            let mut next_deadline: Option<u64> = None;
-            for (i, mut out) in outs.drain(..).enumerate() {
-                events += out.turns;
-                turns += out.turns;
-                waves += out.waves;
-                work += out.work;
-                backlog += out.backlog;
-                total_ready += out.ready;
-                ready[i] = out.ready;
-                sent_cross |= out.sent_cross;
-                sr_delayed += out.pending_sr_delayed;
-                next_deadline = match (next_deadline, out.next_deadline) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                if let Some((_, dest)) = donate[i] {
-                    for &p in &out.donated {
-                        self.cluster.set_pump(p, dest);
-                    }
-                    steals += out.donated.len() as u64;
-                }
-                out.donated.clear();
-                for msg in out.sr_mail.drain(..) {
-                    sr_delivered += 1;
-                    self.superroot.on_message(msg, &mut self.csub);
-                }
-                sr_bufs[i] = out.sr_mail;
-                donated_bufs[i] = out.donated;
-                self.csub.inject[i] = out.spent_inject;
+            let out =
+                self.pump
+                    .run_round(self.csub.now, &kills, &mut self.csub.inject, &mut sr_mail);
+            events += out.turns;
+            for msg in sr_mail.drain(..) {
+                sr_delivered += 1;
+                self.superroot.on_message(msg, &mut self.csub);
             }
             if self.superroot.result().is_some() {
                 finish = Some(VirtualTime(self.csub.now));
@@ -384,7 +277,7 @@ impl ParallelReactorMachine {
             if !self.superroot.has_live_replica() {
                 break;
             }
-            if waves > 0 || turns > 0 {
+            if out.waves > 0 || out.turns > 0 {
                 // Parallel clock charge, aggregated per round: the round's
                 // waves ran spread over `live` engines, so the emulated
                 // machine's clock moves by total cost / live (carry keeps
@@ -395,26 +288,26 @@ impl ParallelReactorMachine {
                 // packet orbiting between two twins that each point the
                 // child instance at the other — would otherwise freeze
                 // the clock so no timeout could ever break it.
-                carry += waves * self.cfg.cost.wave_base + work * self.cfg.cost.per_work_unit;
-                if waves == 0 {
-                    carry += turns * self.cfg.cost.wave_base;
+                carry +=
+                    out.waves * self.cfg.cost.wave_base + out.work * self.cfg.cost.per_work_unit;
+                if out.waves == 0 {
+                    carry += out.turns * self.cfg.cost.wave_base;
                 }
                 let live = u64::from(plan.state().live_count().max(1));
                 self.csub.now += carry / live;
                 carry %= live;
                 continue;
             }
-            // No wave ran anywhere. Messages still in flight (a flushed
-            // envelope, a pending injection) mean the next round has work
-            // without the clock moving.
-            let injected = self.csub.inject.iter().any(|b| !b.is_empty());
-            if total_ready > 0 || backlog > 0 || sent_cross || injected {
+            // No wave ran. Messages still waiting (a mailbox, a pending
+            // injection) mean the next round has work without the clock
+            // moving.
+            if out.ready > 0 || out.backlog > 0 || !self.csub.inject.is_empty() {
                 continue;
             }
             // Idle. With every engine dead and no result parked anywhere,
             // the super-root's hopeless reissue cycle must not spin the
             // clock forever.
-            if plan.state().live_count() == 0 && sr_delayed == 0 {
+            if plan.state().live_count() == 0 && out.pending_sr_delayed == 0 {
                 break;
             }
             // Skip the clock to the next thing that can happen: a pump
@@ -422,29 +315,20 @@ impl ParallelReactorMachine {
             // left at all is quiescence without a result.
             let next_sr = self.csub.timers.next_deadline().copied();
             let next_fault = plan.next_at().map(|f| f.ticks());
-            let target = [next_deadline, next_sr, next_fault]
+            let target = [out.next_deadline, next_sr, next_fault]
                 .into_iter()
                 .flatten()
                 .min();
             match target {
                 Some(at) => self.csub.now = self.csub.now.max(at),
-                None => break 'run,
+                None => break,
             }
         }
 
         let stalled = finish.is_none() && !budget_tripped;
-        self.build_report(
-            events,
-            finish,
-            stalled,
-            faults,
-            sr_delivered,
-            steals,
-            tracer,
-        )
+        self.build_report(events, finish, stalled, faults, sr_delivered, tracer)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn build_report(
         self,
         events: u64,
@@ -452,47 +336,24 @@ impl ParallelReactorMachine {
         stalled: bool,
         faults: &FaultPlan,
         sr_delivered: u64,
-        steals: u64,
         mut tracer: Tracer,
     ) -> (RunReport, Vec<TraceEvent>) {
         let ParallelReactorMachine {
-            fleet,
+            pump,
             superroot,
             csub,
             cfg,
             cluster,
             ..
         } = self;
-        let threads = fleet.threads();
-        let harvests: Vec<PumpHarvest> = fleet.finish();
-        let mut engines: Vec<(u32, Box<DriverLoop>)> = Vec::with_capacity(cluster.n() as usize);
-        let mut delivered = sr_delivered;
-        let mut dropped_to_dead = 0;
-        let mut bounces = 0;
-        let mut msgs_cross = 0;
-        let mut shard_stats = splice_harness::ShardStats::default();
-        let mut batch_envelopes = 0;
-        let mut batch_msgs = 0;
-        // Coordinator events first (barrier faults), then each pump's
-        // stream in pump order — the parallel backend's canonical order.
+        let h = pump.harvest();
+        // Front-end events first (faults), then the pump's stream — the
+        // reactor backend's canonical order.
         let mut trace_events = tracer.take_events();
-        for h in harvests {
-            engines.extend(h.engines);
-            delivered += h.delivered;
-            dropped_to_dead += h.dropped_to_dead;
-            bounces += h.bounces;
-            msgs_cross += h.msgs_cross;
-            shard_stats.absorb(&h.shard_stats);
-            batch_envelopes += h.batch_stats.envelopes;
-            batch_msgs += h.batch_stats.messages;
-            trace_events.extend(tracer.absorb(h.tracer));
-        }
-        // Migrated engines live in their stealer's harvest; global engine
-        // order is restored here so per-proc stats index by ProcId. An
-        // engine no pump ever built never received an input: its snapshot
-        // is a fresh engine's, which is the default one.
-        engines.sort_by_key(|(p, _)| *p);
-        let mut built = engines.iter().peekable();
+        trace_events.extend(tracer.absorb(h.tracer));
+        // An engine the pump never built never received an input: its
+        // snapshot is a fresh engine's, which is the default one.
+        let mut built = h.engines.iter().peekable();
         let snapshots = (0..cluster.n()).map(|p| match built.next_if(|(q, _)| *q == p) {
             Some((_, node)) => EngineSnapshot::of(node.engine()),
             None => EngineSnapshot::default(),
@@ -504,29 +365,27 @@ impl ParallelReactorMachine {
                 end: VirtualTime(csub.now),
                 stalled,
                 events,
-                delivered,
-                dropped_to_dead,
-                bounces,
+                delivered: sr_delivered + h.delivered,
+                dropped_to_dead: h.dropped_to_dead,
+                bounces: h.bounces,
                 shards: cfg.topology.shard_count(),
-                shard_msgs_intra: shard_stats.intra_msgs,
-                shard_msgs_inter: shard_stats.inter_msgs,
+                shard_msgs_intra: h.shard_stats.intra_msgs,
+                shard_msgs_inter: h.shard_stats.inter_msgs,
                 faults: faults.events.len() + faults.root_events.len(),
-                threads,
+                threads: 1,
                 trace: tracer.summary(),
             },
             totals,
             &superroot,
         );
-        report.batch_envelopes = batch_envelopes;
-        report.batch_msgs = batch_msgs;
-        report.msgs_cross_reactor = msgs_cross;
-        report.steals = steals;
+        report.batch_envelopes = h.batch_stats.envelopes;
+        report.batch_msgs = h.batch_stats.messages;
         (report, trace_events)
     }
 }
 
-/// Convenience: run `workload` on the parallel-reactor backend under `cfg`
-/// and a fault plan.
+/// Convenience: run `workload` on the reactor backend under `cfg` and a
+/// fault plan.
 pub fn run_parallel_reactor(
     cfg: MachineConfig,
     workload: &Workload,
@@ -543,49 +402,41 @@ mod tests {
     use splice_simnet::fault::FaultKind;
     use splice_simnet::trace::TraceMode;
 
-    fn cfg(n: u32, threads: u32) -> MachineConfig {
+    fn cfg(n: u32) -> MachineConfig {
         let mut c = MachineConfig::new(n);
         c.policy = Policy::RoundRobin;
         c.recovery.load_beacon_period = 0;
-        c.threads = threads;
         c
     }
 
     #[test]
-    fn fault_free_run_matches_reference_at_each_thread_count() {
+    fn fault_free_run_matches_reference() {
         let w = Workload::fib(10);
-        for threads in [1, 2, 4] {
-            let r = run_parallel_reactor(cfg(4, threads), &w, &FaultPlan::none());
-            assert!(r.completed, "{threads}-thread run stalled");
-            assert_eq!(r.result, Some(w.reference_result().unwrap()));
-            assert_eq!(r.threads, threads.min(4));
-            assert!(r.finish > VirtualTime(0), "waves must charge the clock");
-            if threads > 1 {
-                assert!(r.msgs_cross_reactor > 0, "work must cross pumps");
-            }
-        }
+        let r = run_parallel_reactor(cfg(4), &w, &FaultPlan::none());
+        assert!(r.completed, "run stalled");
+        assert_eq!(r.result, Some(w.reference_result().unwrap()));
+        assert!(r.finish > VirtualTime(0), "waves must charge the clock");
     }
 
     #[test]
-    fn fault_free_small_suite_on_two_pumps() {
+    fn fault_free_small_suite() {
         for w in Workload::suite_small() {
-            let r = run_parallel_reactor(cfg(6, 2), &w, &FaultPlan::none());
+            let r = run_parallel_reactor(cfg(6), &w, &FaultPlan::none());
             assert!(r.completed, "{}", w.name);
             assert_eq!(r.result, Some(w.reference_result().unwrap()), "{}", w.name);
         }
     }
 
     #[test]
-    fn runs_are_deterministic_despite_real_threads() {
+    fn runs_are_deterministic() {
         let w = Workload::quicksort(24, 7);
         let faults = FaultPlan::crash_at(3, VirtualTime(2_500));
-        let a = run_parallel_reactor(cfg(5, 2), &w, &faults);
-        let b = run_parallel_reactor(cfg(5, 2), &w, &faults);
+        let a = run_parallel_reactor(cfg(5), &w, &faults);
+        let b = run_parallel_reactor(cfg(5), &w, &faults);
         assert_eq!(a.finish, b.finish);
         assert_eq!(a.events, b.events);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.msgs_cross_reactor, b.msgs_cross_reactor);
     }
 
     /// Fault-free completion time, for timing crashes mid-run.
@@ -596,9 +447,9 @@ mod tests {
     }
 
     #[test]
-    fn single_crash_splice_recovers_across_pumps() {
+    fn single_crash_splice_recovers() {
         let w = Workload::fib(12);
-        let mut c = cfg(4, 2);
+        let mut c = cfg(4);
         c.recovery.mode = RecoveryMode::Splice;
         let crash = ff_finish(&c, &w) / 3;
         let faults = FaultPlan::crash_at(2, VirtualTime(crash.max(1)));
@@ -608,9 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn single_crash_rollback_recovers_across_pumps() {
+    fn single_crash_rollback_recovers() {
         let w = Workload::fib(12);
-        let mut c = cfg(4, 2);
+        let mut c = cfg(4);
         c.recovery.mode = RecoveryMode::Rollback;
         let crash = ff_finish(&c, &w) / 3;
         let faults = FaultPlan::crash_at(1, VirtualTime(crash.max(1)));
@@ -622,7 +473,7 @@ mod tests {
     #[test]
     fn all_crash_plan_stalls_quickly() {
         let w = Workload::fib(12);
-        let c = cfg(4, 2);
+        let c = cfg(4);
         let max_events = c.max_events;
         let crash = VirtualTime((ff_finish(&c, &w) / 3).max(1));
         let mut faults = FaultPlan::none();
@@ -643,7 +494,7 @@ mod tests {
     #[test]
     fn corrupt_after_crash_is_inert() {
         let w = Workload::fib(12);
-        let mut c = cfg(4, 2);
+        let mut c = cfg(4);
         c.recovery.mode = RecoveryMode::Splice;
         let t = ff_finish(&c, &w);
         let crash_only = FaultPlan::crash_at(2, VirtualTime((t / 3).max(1)));
@@ -668,43 +519,23 @@ mod tests {
         c.batch_window = 150;
         c.recovery.ack_timeout += 4 * c.batch_window;
         c.recovery.load_beacon_period = 0;
-        c.threads = 2;
         let r = run_parallel_reactor(c, &w, &FaultPlan::none());
-        assert!(r.completed, "sharded+batched parallel run stalled");
+        assert!(r.completed, "sharded+batched run stalled");
         assert_eq!(r.result, Some(w.reference_result().unwrap()));
         assert!(r.shard_msgs_inter > 0, "traffic must cross the router");
         assert!(r.batch_msgs > 0, "traffic must ride the bus");
     }
 
     #[test]
-    fn massacre_of_one_pump_triggers_stealing_into_the_other() {
-        // Pump 1's engines (16..32) all die mid-run: every survivor lives
-        // on pump 0, whose ready queue swells while pump 1 idles — exactly
-        // the imbalance the coordinator's stealing rule exists for.
-        let w = Workload::fib(14);
-        let mut c = cfg(32, 2);
-        c.recovery.mode = RecoveryMode::Splice;
-        let crash = VirtualTime((ff_finish(&c, &w) / 3).max(1));
-        let mut faults = FaultPlan::none();
-        for p in 16..32 {
-            faults = faults.and(p, crash, FaultKind::Crash);
-        }
-        let r = run_parallel_reactor(c, &w, &faults);
-        assert!(r.completed, "half-massacre run stalled");
-        assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        assert!(r.steals > 0, "survivor overload must trigger migration");
-    }
-
-    #[test]
     fn detector_disabled_recovery_completes_via_bounces_alone() {
         let w = Workload::fib(12);
-        let mut c = cfg(4, 2);
+        let mut c = cfg(4);
         c.recovery.mode = RecoveryMode::Splice;
         c.detector.broadcast = false;
         let crash = ff_finish(&c, &w) / 3;
         let faults = FaultPlan::crash_at(2, VirtualTime(crash.max(1)));
         let r = run_parallel_reactor(c, &w, &faults);
-        assert!(r.completed, "bounce-only parallel recovery stalled");
+        assert!(r.completed, "bounce-only recovery stalled");
         assert_eq!(r.result, Some(w.reference_result().unwrap()));
         assert!(r.bounces > 0, "discovery must have come from bounces");
     }
@@ -712,32 +543,27 @@ mod tests {
     #[test]
     fn root_processor_crash_is_survived_via_super_root() {
         let w = Workload::fib(10);
-        for threads in [1, 2] {
-            let mut c = cfg(4, threads);
-            c.recovery.mode = RecoveryMode::Splice;
-            let crash = ff_finish(&c, &w) / 4;
-            let faults = FaultPlan::crash_at(0, VirtualTime(crash.max(1)));
-            let r = run_parallel_reactor(c, &w, &faults);
-            assert!(r.completed, "{threads}-thread run stalled");
-            assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        }
+        let mut c = cfg(4);
+        c.recovery.mode = RecoveryMode::Splice;
+        let crash = ff_finish(&c, &w) / 4;
+        let faults = FaultPlan::crash_at(0, VirtualTime(crash.max(1)));
+        let r = run_parallel_reactor(c, &w, &faults);
+        assert!(r.completed, "run stalled");
+        assert_eq!(r.result, Some(w.reference_result().unwrap()));
     }
 
     #[test]
     fn whole_shard_crash_is_survived() {
         let w = Workload::fib(13);
-        for threads in [1, 2] {
-            let mut c = MachineConfig::sharded(4, 4, 200);
-            c.policy = Policy::RoundRobin;
-            c.recovery.mode = RecoveryMode::Splice;
-            c.recovery.load_beacon_period = 0;
-            c.threads = threads;
-            let crash = ff_finish(&c, &w) / 3;
-            let faults = FaultPlan::crash_shard(1, 4, VirtualTime(crash.max(1)));
-            let r = run_parallel_reactor(c, &w, &faults);
-            assert!(r.completed, "{threads}-thread sharded run stalled");
-            assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        }
+        let mut c = MachineConfig::sharded(4, 4, 200);
+        c.policy = Policy::RoundRobin;
+        c.recovery.mode = RecoveryMode::Splice;
+        c.recovery.load_beacon_period = 0;
+        let crash = ff_finish(&c, &w) / 3;
+        let faults = FaultPlan::crash_shard(1, 4, VirtualTime(crash.max(1)));
+        let r = run_parallel_reactor(c, &w, &faults);
+        assert!(r.completed, "sharded run stalled");
+        assert_eq!(r.result, Some(w.reference_result().unwrap()));
     }
 
     #[test]
@@ -748,107 +574,92 @@ mod tests {
         // of children on the dead hosts would wait forever (nothing ever
         // bounces — the sends all completed before the crash).
         let w = Workload::fib(12);
-        for threads in [1, 2] {
-            let mut c = cfg(256, threads);
-            c.recovery.mode = RecoveryMode::Splice;
-            c.detector.broadcast = false;
-            let crash = ff_finish(&c, &w) / 2;
-            let mut faults = FaultPlan::none();
-            for v in (1..128u32).step_by(2) {
-                faults = faults.and(v, VirtualTime(crash.max(1)), FaultKind::Crash);
-            }
-            let r = run_parallel_reactor(c, &w, &faults);
-            assert!(r.completed, "{threads}-thread silent massacre stalled");
-            assert_eq!(r.result, Some(w.reference_result().unwrap()));
+        let mut c = cfg(256);
+        c.recovery.mode = RecoveryMode::Splice;
+        c.detector.broadcast = false;
+        let crash = ff_finish(&c, &w) / 2;
+        let mut faults = FaultPlan::none();
+        for v in (1..128u32).step_by(2) {
+            faults = faults.and(v, VirtualTime(crash.max(1)), FaultKind::Crash);
         }
+        let r = run_parallel_reactor(c, &w, &faults);
+        assert!(r.completed, "silent massacre stalled");
+        assert_eq!(r.result, Some(w.reference_result().unwrap()));
     }
 
     #[test]
-    fn thousands_of_engines_across_pumps() {
+    fn thousands_of_engines_on_one_pump() {
         let w = Workload::fib(12);
-        let c = cfg(2_048, 4);
-        let r = run_parallel_reactor(c, &w, &FaultPlan::none());
-        assert!(r.completed, "2048-engine parallel run stalled");
+        let r = run_parallel_reactor(cfg(2_048), &w, &FaultPlan::none());
+        assert!(r.completed, "2048-engine run stalled");
         assert_eq!(r.result, Some(w.reference_result().unwrap()));
-        assert_eq!(r.n_procs, 2_048);
-        assert_eq!(r.threads, 4);
+        assert_eq!((r.n_procs, r.threads), (2_048, 1));
+    }
+
+    /// Four shapes: a 4096-engine round-robin fleet without beacons (most
+    /// engines never hear from anyone), the same fleet with two early
+    /// crashes (the death broadcasts reach every engine), and a 64-engine
+    /// gradient machine with beacons, fault-free and with a crash mid-run.
+    /// Traced as checksums.
+    fn pinned_shapes() -> [(MachineConfig, FaultPlan); 4] {
+        let mut fleet = cfg(4096);
+        fleet.trace = TraceMode::Checksum;
+        let mut gradient = MachineConfig::new(64);
+        gradient.recovery.load_beacon_period = 20;
+        gradient.trace = TraceMode::Checksum;
+        let fleet_crash =
+            FaultPlan::crash_at(7, VirtualTime(1)).and(100, VirtualTime(3), FaultKind::Crash);
+        [
+            (fleet.clone(), FaultPlan::none()),
+            (fleet, fleet_crash),
+            (gradient.clone(), FaultPlan::none()),
+            (gradient, FaultPlan::crash_at(5, VirtualTime(100))),
+        ]
     }
 
     /// What a pinned run must reproduce bit for bit: trace stream and
-    /// semantic checksums, events, finish, delivered, steals and
-    /// cross-pump messages.
-    type Pin = (u64, u64, u64, u64, u64, u64, u64);
+    /// semantic checksums, events, finish and delivered.
+    type Pin = (u64, u64, u64, u64, u64);
 
-    fn pin(mut c: MachineConfig, threads: u32, faults: &FaultPlan) -> Pin {
-        c.threads = threads;
-        c.trace = TraceMode::Checksum;
-        let r = run_parallel_reactor(c, &Workload::fib(12), faults);
-        assert!(r.completed, "{threads}-pump pinned run stalled");
-        (
-            r.trace.stream,
-            r.trace.semantic,
-            r.events,
-            r.finish.ticks(),
-            r.delivered,
-            r.steals,
-            r.msgs_cross_reactor,
-        )
-    }
-
-    /// The parallel backend's output at 1, 2 and 4 pumps on four shapes: a
-    /// 4096-engine round-robin fleet without beacons (most engines never
-    /// hear from anyone), the same fleet with two early crashes (the death
-    /// broadcasts reach every engine), and a 64-engine gradient machine
-    /// with beacons, fault-free and with a crash mid-run. Any change to
-    /// the pump's scheduling, routing or engine life cycle that moves one
+    /// The reactor's output on the four pinned shapes. Any change to the
+    /// pump's scheduling, routing or engine life cycle that moves one
     /// event shows up here.
     #[test]
     fn reactor_output_is_pinned_bit_for_bit() {
-        let fleet = cfg(4096, 1);
-        let mut gradient = MachineConfig::new(64);
-        gradient.recovery.load_beacon_period = 20;
-        let fleet_crash =
-            FaultPlan::crash_at(7, VirtualTime(1)).and(100, VirtualTime(3), FaultKind::Crash);
-        let gradient_crash = FaultPlan::crash_at(5, VirtualTime(100));
-        #[rustfmt::skip]
-        let golden: [(&MachineConfig, &FaultPlan, [Pin; 3]); 4] = [
-            (&fleet, &FaultPlan::none(), [
-                (0xab8f0426251fa265, 0x21aabd7b40dc2b0e, 323, 5, 1395, 0, 0),
-                (0x2e939446fea2626c, 0x21aabd7b40dc2b0e, 346, 5, 1395, 9, 773),
-                (0x7d5a47649369eb00, 0x21aabd7b40dc2b0e, 360, 5, 1395, 18, 892),
-            ]),
-            (&fleet, &fleet_crash, [
-                (0x50a1fdd541c7133b, 0xb0aaf94b893f465d, 8510, 5, 9788, 0, 0),
-                (0x85f822737a2b5710, 0xb0aaf94b893f465d, 8556, 5, 9776, 9, 926),
-                (0x879f10de9a2b0dbb, 0xb0aaf94b893f465d, 8566, 5, 9776, 14, 1028),
-            ]),
-            (&gradient, &FaultPlan::none(), [
-                (0x77d91be1eb1c8642, 0x21aabd7b40dc2b0e, 588, 333, 33651, 0, 0),
-                (0x59db59026fd72e19, 0x21aabd7b40dc2b0e, 830, 333, 37683, 11, 17665),
-                (0xe9611902c10662fb, 0x21aabd7b40dc2b0e, 900, 333, 41715, 26, 29983),
-            ]),
-            (&gradient, &gradient_crash, [
-                (0xa0a872d62315ae6e, 0x49c819f5abcc40f7, 718, 402, 44966, 0, 0),
-                (0xda62c76c9692a596, 0xe27dd9c36183b7d3, 888, 405, 48853, 4, 23969),
-                (0xafbe9e9afed394ad, 0xc2433542e83e4431, 1022, 406, 52745, 28, 39899),
-            ]),
+        let golden: [Pin; 4] = [
+            (0xab8f0426251fa265, 0x21aabd7b40dc2b0e, 323, 5, 1395),
+            (0x50a1fdd541c7133b, 0xb0aaf94b893f465d, 8510, 5, 9788),
+            (0x77d91be1eb1c8642, 0x21aabd7b40dc2b0e, 588, 333, 33651),
+            (0xa0a872d62315ae6e, 0x49c819f5abcc40f7, 718, 402, 44966),
         ];
-        for (shape, (c, faults, want)) in golden.into_iter().enumerate() {
-            for (threads, want) in [1, 2, 4].into_iter().zip(want) {
-                assert_eq!(
-                    pin((*c).clone(), threads, faults),
-                    want,
-                    "shape {shape} at {threads} pumps"
-                );
-            }
+        for (shape, ((c, faults), want)) in pinned_shapes().into_iter().zip(golden).enumerate() {
+            let r = run_parallel_reactor(c, &Workload::fib(12), &faults);
+            assert!(r.completed, "shape {shape} stalled");
+            let got = (
+                r.trace.stream,
+                r.trace.semantic,
+                r.events,
+                r.finish.ticks(),
+                r.delivered,
+            );
+            assert_eq!(got, want, "shape {shape}");
         }
     }
 
+    /// `cfg.threads` is inert: the four pinned shapes at 1, 2 and 4
+    /// requested pumps report identically, field for field.
     #[test]
-    fn threads_clamp_to_the_engine_count() {
-        let w = Workload::fib(8);
-        let r = run_parallel_reactor(cfg(2, 16), &w, &FaultPlan::none());
-        assert!(r.completed);
-        assert_eq!(r.threads, 2, "16 pumps over 2 engines clamps to 2");
+    fn threads_setting_is_inert() {
+        for (shape, (c, faults)) in pinned_shapes().into_iter().enumerate() {
+            let report = |threads| {
+                let mut c = c.clone();
+                c.threads = threads;
+                format!("{:?}", run_parallel_reactor(c, &Workload::fib(12), &faults))
+            };
+            let one = report(1);
+            for threads in [2, 4] {
+                assert_eq!(report(threads), one, "shape {shape} at {threads} pumps");
+            }
+        }
     }
 }

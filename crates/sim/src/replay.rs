@@ -32,8 +32,8 @@ use std::fmt;
 pub enum Backend {
     /// The discrete-event simulator (`Machine`).
     Des,
-    /// The cooperative reactor on `cfg.threads` pumps
-    /// (`ParallelReactorMachine`; one pump is `ReactorMachine`).
+    /// The cooperative reactor (`ParallelReactorMachine`, also known as
+    /// `ReactorMachine`).
     ParallelReactor,
     /// The multi-process machine (`proc::run_process`): one OS process
     /// per shard over Unix domain sockets. Wall-clock driven, so it is
@@ -236,11 +236,10 @@ mod tests {
     use super::*;
     use splice_gradient::Policy;
 
-    fn cfg(n: u32, threads: u32) -> MachineConfig {
+    fn cfg(n: u32) -> MachineConfig {
         let mut c = MachineConfig::new(n);
         c.policy = Policy::RoundRobin;
         c.recovery.load_beacon_period = 0;
-        c.threads = threads;
         c
     }
 
@@ -249,7 +248,7 @@ mod tests {
         let w = Workload::fib(10);
         let plan = FaultPlan::crash_at(2, VirtualTime(2_000));
         for backend in Backend::ALL {
-            let rec = record(backend, cfg(4, 2), &w, &plan);
+            let rec = record(backend, cfg(4), &w, &plan);
             assert!(rec.report.completed, "{backend}: run stalled");
             assert!(!rec.events.is_empty(), "{backend}: no events recorded");
             let rp = replay(&rec);
@@ -265,7 +264,7 @@ mod tests {
     #[test]
     fn replay_pinpoints_a_tampered_event() {
         let w = Workload::fib(9);
-        let mut rec = record(Backend::Des, cfg(3, 1), &w, &FaultPlan::none());
+        let mut rec = record(Backend::Des, cfg(3), &w, &FaultPlan::none());
         // Corrupt one recorded event: replay must point at exactly it.
         let idx = rec.events.len() / 2;
         rec.events[idx].at = VirtualTime(rec.events[idx].at.ticks() + 1);

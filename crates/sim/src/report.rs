@@ -74,13 +74,16 @@ pub struct RunReport {
     pub batch_msgs: u64,
     /// Number of injected faults.
     pub faults: usize,
-    /// OS threads the backend executed on (1 for the DES; the pump count
-    /// on the reactor; the shard-process count on the process backend).
+    /// OS threads the backend executed on: 1 for the DES and the reactor
+    /// (one pump, whatever `MachineConfig::threads` asks), the
+    /// shard-process count on the process backend.
     pub threads: u32,
-    /// Worker messages that crossed a reactor-pump boundary (every
-    /// forwarding hop counts; 0 on single-pump backends).
+    /// Inert: always 0 (the reactor has one pump, so no message crosses
+    /// pumps). Kept only because the repo benchmark (`perfbench/`) reads
+    /// it.
     pub msgs_cross_reactor: u64,
-    /// Engines migrated between reactor pumps by work stealing.
+    /// Inert: always 0 (one pump, nothing to steal). Kept only because the
+    /// repo benchmark (`perfbench/`) reads it.
     pub steals: u64,
     /// Wire frames the multi-process backend wrote to sockets (0 on
     /// in-process backends).

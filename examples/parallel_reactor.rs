@@ -1,22 +1,16 @@
-//! The multi-core reactor: 65,536 protocol engines across every core.
+//! The reactor at scale: 65,536 protocol engines on one pump.
 //!
-//! One reactor pump per core, each owning a partition of the engines;
-//! cross-partition sends travel over per-pair envelope links, and a
-//! virtual-clock barrier keeps the run deterministic for a fixed pump
-//! count. Mid-run, 16k engines — every other engine of pump 0's block — are
-//! massacred with the failure detector disabled: nobody is told, the
-//! survivors discover the deaths the hard way — bounced sends, and
-//! ack-timeout liveness probes for children that were already placed —
-//! and splice recovery rebuilds the lost subtrees. Work stealing then
-//! drains the overloaded survivors toward the idle pump.
+//! One cooperative reactor pump on the caller's thread hosts every engine;
+//! an engine is built only when it first has to act. Mid-run, 16k engines
+//! — every other engine of the lower half — are massacred with the
+//! failure detector disabled: nobody is told, the survivors discover the
+//! deaths the hard way — bounced sends, and ack-timeout liveness probes
+//! for children that were already placed — and splice recovery rebuilds
+//! the lost subtrees.
 //!
 //! ```sh
 //! cargo run --release --example parallel_reactor
 //! ```
-//!
-//! Wall-clock speedup across pumps is a property of the host: on a
-//! single-core container the extra pumps only add barrier overhead, and
-//! the printed times say so honestly.
 
 use splice::prelude::*;
 use splice::sim::run_parallel_reactor;
@@ -26,57 +20,47 @@ fn main() {
     let workload = Workload::fib(16);
     let expected = workload.reference_result().unwrap();
     let n: u32 = 65_536;
-    // One pump per core (minimum two, so the cross-reactor machinery is
-    // exercised even on a single-core host).
-    let threads = std::thread::available_parallelism()
-        .map_or(2, |p| p.get() as u32)
-        .max(2);
-    println!("engines: {n}, pumps: {threads}");
+    println!("engines: {n}");
     println!("reference result:        {expected}");
 
     let mut cfg = MachineConfig::new(n);
-    cfg.threads = threads;
     cfg.policy = Policy::RoundRobin;
     cfg.recovery.mode = RecoveryMode::Splice;
     cfg.recovery.load_beacon_period = 0;
-    // Fail-silent: no death broadcasts. With 32k victims a broadcast
-    // detector would be 2 billion notices; instead every survivor learns
+    // Fail-silent: no death broadcasts. With 16k victims a broadcast
+    // detector would be a billion notices; instead every survivor learns
     // of a death the hard way, from its own bounced send.
     cfg.detector.broadcast = false;
 
     let t0 = Instant::now();
     let baseline = run_parallel_reactor(cfg.clone(), &workload, &FaultPlan::none());
     println!(
-        "fault-free:              finish={} tasks={} cross={} wall={:.1}ms",
+        "fault-free:              finish={} tasks={} wall={:.1}ms",
         baseline.finish,
         baseline.stats.tasks_completed,
-        baseline.msgs_cross_reactor,
         t0.elapsed().as_secs_f64() * 1e3,
     );
 
-    // Massacre 16k engines mid-run: every odd-numbered engine of pump 0's
-    // partition. Round-robin placement concentrates the call tree on low
-    // ids, so these victims hold live work — their even-numbered
-    // neighbours keep checkpoints of the lost subtrees and splice them
-    // back together, while stealing rebalances the survivors' pile-up
-    // toward the other pumps.
+    // Massacre 16k engines mid-run: every odd-numbered engine of the lower
+    // half. Round-robin placement concentrates the call tree on low ids,
+    // so these victims hold live work — their even-numbered neighbours
+    // keep checkpoints of the lost subtrees and splice them back together.
     let crash = VirtualTime((baseline.finish.ticks() / 2).max(1));
     let mut faults = FaultPlan::none();
-    for victim in (1..n / threads).step_by(2) {
+    for victim in (1..n / 2).step_by(2) {
         faults = faults.and(victim, crash, FaultKind::Crash);
     }
     let t0 = Instant::now();
     let report = run_parallel_reactor(cfg, &workload, &faults);
     println!(
-        "16k-engine massacre:     finish={} tasks={} cross={} wall={:.1}ms",
+        "16k-engine massacre:     finish={} tasks={} wall={:.1}ms",
         report.finish,
         report.stats.tasks_completed,
-        report.msgs_cross_reactor,
         t0.elapsed().as_secs_f64() * 1e3,
     );
     println!(
-        "recovery:                reissues={} salvaged={} bounces={} steals={}",
-        report.stats.reissues, report.stats.salvaged_results, report.bounces, report.steals,
+        "recovery:                reissues={} salvaged={} bounces={}",
+        report.stats.reissues, report.stats.salvaged_results, report.bounces,
     );
 
     // The virtual finish is dominated by the ack-timeout probe that first

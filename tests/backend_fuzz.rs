@@ -1,13 +1,11 @@
 //! Differential fault-plan fuzzing: the DES simulator and the cooperative
 //! reactor are *independent* schedulers for the same protocol engine
 //! (globally time-ordered event queue vs wake-ordered cooperative turns in
-//! BSP rounds, on one thread or over real OS threads). The paper argues
+//! rounds). The paper argues
 //! the recovery protocol's outcome does not depend on how processors are
 //! scheduled — so for any fault plan the backends must agree on the
 //! verdict (completed / stalled) and, when a run completes, on the final
-//! wave value (which must equal the reference evaluator's). Every reactor
-//! run additionally pins thread-count independence: the same plan at 1
-//! (the single-thread reactor), 2 and 4 pumps.
+//! wave value (which must equal the reference evaluator's).
 //!
 //! Every proptest case derives a random plan — multi-fault crashes with
 //! optionally protected processors, corrupt-after-crash mixes, whole-shard
@@ -39,8 +37,8 @@ fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Small, fast workloads — each fuzz case runs eight full machine
-/// executions (four baselines, four faulted runs).
+/// Small, fast workloads — each fuzz case runs four full machine
+/// executions (two baselines, two faulted runs).
 fn workload(idx: u64) -> Workload {
     match idx % 3 {
         0 => Workload::fib(9),
@@ -116,36 +114,24 @@ fn explain_divergence(
     );
 }
 
-/// Thread counts every case runs the reactor at: the inline single pump
-/// (the single-thread reactor), the smallest genuinely-parallel fleet, and
-/// a fleet wider than most of the fuzzed machines (some pumps host a single
-/// engine).
-const THREAD_COUNTS: [u32; 3] = [1, 2, 4];
-
-/// The fault window: instants inside the middle of the shortest
-/// fault-free timeline — the minimum over the DES baseline and the reactor
-/// baselines at every fuzzed thread count — so each fault demonstrably
-/// lands mid-run on every machine shape.
+/// The fault window: instants inside the middle of the shorter
+/// fault-free timeline — the minimum over the DES and reactor baselines —
+/// so each fault demonstrably lands mid-run on both machines.
 fn parallel_fault_window(cfg: &MachineConfig, w: &Workload) -> (u64, u64) {
     let sim = run_workload(cfg.clone(), w, &FaultPlan::none());
     assert!(sim.completed, "sim fault-free baseline stalled: {}", w.name);
-    let mut horizon = sim.finish.ticks();
-    for threads in THREAD_COUNTS {
-        let mut c = cfg.clone();
-        c.threads = threads;
-        let par = run_parallel_reactor(c, w, &FaultPlan::none());
-        assert!(
-            par.completed,
-            "{threads}-thread fault-free baseline stalled: {}",
-            w.name
-        );
-        horizon = horizon.min(par.finish.ticks());
-    }
+    let par = run_parallel_reactor(cfg.clone(), w, &FaultPlan::none());
+    assert!(
+        par.completed,
+        "reactor fault-free baseline stalled: {}",
+        w.name
+    );
+    let horizon = sim.finish.ticks().min(par.finish.ticks());
     (horizon / 6 + 1, 2 * horizon / 3 + 2)
 }
 
-/// Drives `plan` through the DES and the parallel reactor at every thread
-/// count and asserts scheduler- *and* thread-count-independent outcomes.
+/// Drives `plan` through the DES and the parallel reactor and asserts
+/// scheduler-independent outcomes.
 fn assert_parallel_parity(cfg: &MachineConfig, w: &Workload, plan: &FaultPlan) {
     let sim = run_workload(cfg.clone(), w, plan);
     assert!(
@@ -153,31 +139,27 @@ fn assert_parallel_parity(cfg: &MachineConfig, w: &Workload, plan: &FaultPlan) {
         "sim tripped its event budget on {} under {plan:?}",
         w.name
     );
-    for threads in THREAD_COUNTS {
-        let mut c = cfg.clone();
-        c.threads = threads;
-        let par = run_parallel_reactor(c.clone(), w, plan);
-        assert!(
-            par.completed || par.stalled,
-            "{threads}-thread parallel reactor tripped its budget on {} under {plan:?}",
-            w.name
+    let par = run_parallel_reactor(cfg.clone(), w, plan);
+    assert!(
+        par.completed || par.stalled,
+        "parallel reactor tripped its budget on {} under {plan:?}",
+        w.name
+    );
+    if verdict(&sim) != verdict(&par) || sim.result != par.result {
+        explain_divergence(
+            cfg,
+            w,
+            plan,
+            Backend::Des,
+            Backend::ParallelReactor,
+            format!(
+                "sim {:?}/{:?} vs parallel {:?}/{:?}",
+                verdict(&sim),
+                sim.result,
+                verdict(&par),
+                par.result
+            ),
         );
-        if verdict(&sim) != verdict(&par) || sim.result != par.result {
-            explain_divergence(
-                &c,
-                w,
-                plan,
-                Backend::Des,
-                Backend::ParallelReactor,
-                format!(
-                    "sim {:?}/{:?} vs {threads}-thread parallel {:?}/{:?}",
-                    verdict(&sim),
-                    sim.result,
-                    verdict(&par),
-                    par.result
-                ),
-            );
-        }
     }
     if sim.completed {
         assert_eq!(
@@ -224,7 +206,7 @@ fn flat_case(seed: u64, shape: u8) {
         }
         1 => {
             // Every processor dies at one instant: verdict parity on the
-            // stall side, detected on every pump count.
+            // stall side.
             let t = VirtualTime(lo + mix(&mut s) % (hi - lo).max(1));
             let mut p = FaultPlan::none();
             for v in 0..n {
@@ -258,8 +240,7 @@ fn flat_case(seed: u64, shape: u8) {
 /// One sharded-machine case behind the inter-shard router: whole-shard
 /// massacres and cross-shard multi-fault plans with the full decorator
 /// stack (`ShardRouter` over `BatchingSubstrate` over the pump substrate),
-/// router surcharges included. Shard boundaries and pump boundaries
-/// deliberately do not coincide.
+/// router surcharges included.
 fn sharded_case(seed: u64, whole_shard: bool) {
     let mut s = seed;
     let shards = 2 + (mix(&mut s) % 2) as u32; // 2..=3
@@ -300,8 +281,7 @@ fn root_crash_plan(s: &mut u64, replicas: u32, (lo, hi): (u64, u64)) -> FaultPla
 }
 
 // Each shape runs under two pinned test names, `sim_and_reactor_*` and
-// `sim_and_parallel_reactor_*`: one case body (every case sweeps 1, 2 and
-// 4 pumps), two case counts.
+// `sim_and_parallel_reactor_*`: one case body, two case counts.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -457,9 +437,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The root-replica crash leg on the parallel reactor: the same plans
-    /// at 1, 2 and 4 pumps must match the DES verdict and value — the
-    /// failover replays identically whatever partition the engines (and
-    /// the coordinator's barrier rounds) land in.
+    /// must match the DES verdict and value — the failover replays
+    /// identically under the reactor's rounds.
     #[test]
     fn sim_and_parallel_reactor_agree_on_root_replica_crashes(seed in any::<u64>()) {
         let mut s = seed;
@@ -500,16 +479,12 @@ proptest! {
             "DES: quorum death must stall, got completed={} stalled={} on {}",
             sim.completed, sim.stalled, w.name
         );
-        for threads in THREAD_COUNTS {
-            let mut c = cfg.clone();
-            c.threads = threads;
-            let par = run_parallel_reactor(c, &w, &plan);
-            prop_assert!(
-                !par.completed && par.stalled,
-                "{threads}-thread parallel: quorum death must stall, got completed={} stalled={} on {}",
-                par.completed, par.stalled, w.name
-            );
-        }
+        let par = run_parallel_reactor(cfg, &w, &plan);
+        prop_assert!(
+            !par.completed && par.stalled,
+            "parallel: quorum death must stall, got completed={} stalled={} on {}",
+            par.completed, par.stalled, w.name
+        );
     }
 }
 
@@ -519,7 +494,7 @@ proptest! {
     /// The recovery-policy axis: one random multi-fault plan (multi-crash
     /// shapes up to whole-system death, optionally protected processor 0,
     /// rollback and splice modes), run under all *three* recovery
-    /// policies on the DES and the reactor at every pump count. Two
+    /// policies on the DES and the reactor. Two
     /// properties at once:
     /// within each policy the backends must agree (scheduler
     /// independence, policy included in any shrunk reproducer), and

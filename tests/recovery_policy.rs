@@ -152,23 +152,16 @@ fn every_policy_completes_fib16_through_mid_run_crash_in_sim() {
     let w = Workload::fib(16);
     let expected = w.reference_result().unwrap();
     for kind in PolicyKind::ALL {
-        // The DES, and the reactor at one pump (the single-thread
-        // reactor) and at two.
-        for (backend, threads) in [
-            (Backend::Des, 1),
-            (Backend::ParallelReactor, 1),
-            (Backend::ParallelReactor, 2),
-        ] {
+        for backend in Backend::ALL {
             let mut c = cfg(4);
-            c.threads = threads;
             c.recovery.policy = PolicySpec::of(kind);
             let plan = mid_worker_crash(&c, &w);
             let (r, _) = execute(backend, c, &w, &plan);
-            assert!(r.completed, "{kind} on {backend}@{threads} stalled: {r}");
+            assert!(r.completed, "{kind} on {backend} stalled: {r}");
             assert_eq!(
                 r.result,
                 Some(expected.clone()),
-                "{kind} on {backend}@{threads} got the wrong answer"
+                "{kind} on {backend} got the wrong answer"
             );
             assert_eq!(r.policy, kind, "{backend} misreported the policy");
         }

@@ -64,8 +64,7 @@ fn reactor_completes_fib16_through_primary_crash() {
 #[test]
 fn parallel_reactor_completes_fib16_through_primary_crash() {
     let w = Workload::fib(16);
-    let mut c = cfg(4);
-    c.threads = 2;
+    let c = cfg(4);
     let plan = mid_primary_crash(&c, &w);
     let r = run_parallel_reactor(c, &w, &plan);
     assert!(r.completed, "failover run stalled: {r}");
@@ -110,29 +109,18 @@ fn lazy_policy_fails_over_on_every_sim_backend() {
     use splice::core::policy::{PolicyKind, PolicySpec};
     let w = Workload::fib(16);
     let expected = w.reference_result().unwrap();
-    for (backend, threads) in [
-        (Backend::Des, 1),
-        (Backend::ParallelReactor, 1),
-        (Backend::ParallelReactor, 2),
-    ] {
+    for backend in Backend::ALL {
         let mut c = cfg(4);
-        c.threads = threads;
         c.recovery.policy = PolicySpec::lazy();
         let plan = mid_primary_crash(&c, &w);
         let (r, _) = execute(backend, c, &w, &plan);
-        assert!(
-            r.completed,
-            "lazy failover stalled on {backend}@{threads}: {r}"
-        );
+        assert!(r.completed, "lazy failover stalled on {backend}: {r}");
         assert_eq!(
             r.result,
             Some(expected.clone()),
-            "lazy failover got the wrong answer on {backend}@{threads}"
+            "lazy failover got the wrong answer on {backend}"
         );
-        assert!(
-            r.root_failovers >= 1,
-            "no failover on {backend}@{threads}: {r}"
-        );
+        assert!(r.root_failovers >= 1, "no failover on {backend}: {r}");
         assert_eq!(r.policy, PolicyKind::Lazy);
     }
 }

@@ -15,31 +15,20 @@ use splice::simnet::fault::FaultKind;
 use splice::simnet::shrink::{plan_literal, shrink};
 use splice::simnet::trace::{first_divergence, TraceKind, TraceMode};
 
-fn flat_cfg(n: u32, threads: u32) -> MachineConfig {
+fn flat_cfg(n: u32) -> MachineConfig {
     let mut c = MachineConfig::new(n);
     c.policy = Policy::RoundRobin;
     c.recovery.load_beacon_period = 0;
-    c.threads = threads;
     c
 }
 
-fn sharded_cfg(shards: u32, per_shard: u32, threads: u32) -> MachineConfig {
+fn sharded_cfg(shards: u32, per_shard: u32) -> MachineConfig {
     let mut c = MachineConfig::sharded(shards, per_shard, 200);
     c.policy = Policy::RoundRobin;
     c.recovery.mode = RecoveryMode::Splice;
     c.recovery.load_beacon_period = 0;
-    c.threads = threads;
     c
 }
-
-/// Every deterministic scheduler: the DES, and the reactor at one pump
-/// (the single-thread reactor), two and four.
-const SCHEDULERS: [(Backend, u32); 4] = [
-    (Backend::Des, 1),
-    (Backend::ParallelReactor, 1),
-    (Backend::ParallelReactor, 2),
-    (Backend::ParallelReactor, 4),
-];
 
 /// A multi-fault plan on the sharded machine: one mid-run crash, a
 /// corrupt aimed at the same victim after death (must apply as a no-op),
@@ -51,20 +40,19 @@ fn multi_fault_plan() -> FaultPlan {
 }
 
 /// Acceptance gate: recording a multi-fault sharded run and replaying its
-/// trace reproduces the `RunReport` bit-identically on every backend, at
-/// one pump (the single-thread reactor) and at several.
+/// trace reproduces the `RunReport` bit-identically on every backend.
 #[test]
 fn replay_smoke_multi_fault_sharded_plan_is_bit_identical() {
     let w = Workload::dcsum(0, 40);
     let plan = multi_fault_plan();
-    for (backend, threads) in SCHEDULERS {
-        let rec = record(backend, sharded_cfg(2, 2, threads), &w, &plan);
-        assert!(rec.report.completed, "{backend}@{threads}: run stalled");
-        assert!(!rec.events.is_empty(), "{backend}@{threads}: no events");
+    for backend in Backend::ALL {
+        let rec = record(backend, sharded_cfg(2, 2), &w, &plan);
+        assert!(rec.report.completed, "{backend}: run stalled");
+        assert!(!rec.events.is_empty(), "{backend}: no events");
         let rp = replay(&rec);
         assert!(
             rp.bit_identical(),
-            "{backend}@{threads}: replay diverged: {:?} report_matches={}",
+            "{backend}: replay diverged: {:?} report_matches={}",
             rp.divergence,
             rp.report_matches
         );
@@ -79,7 +67,7 @@ fn replay_smoke_multi_fault_sharded_plan_is_bit_identical() {
 fn shrinker_reduces_archived_noisy_double_crash() {
     let (plan, procs) = archived_plan("noisy-double-crash").expect("archived plan");
     let w = Workload::fib(10);
-    let cfg = flat_cfg(procs, 2);
+    let cfg = flat_cfg(procs);
     let baseline = execute(Backend::Des, cfg.clone(), &w, &plan).0;
     assert!(!baseline.completed, "archived plan must still be failing");
 
@@ -125,7 +113,7 @@ fn shrinker_reduces_archived_noisy_double_crash() {
 fn shrinker_reduces_archived_root_failover() {
     let (plan, procs) = archived_plan("root-failover").expect("archived plan");
     let w = Workload::fib(10);
-    let cfg = flat_cfg(procs, 2);
+    let cfg = flat_cfg(procs);
     let baseline = execute(Backend::Des, cfg.clone(), &w, &plan).0;
     assert!(
         baseline.completed && baseline.root_failovers >= 2,
@@ -173,27 +161,23 @@ fn shrinker_reduces_archived_root_failover() {
 }
 
 /// Golden determinism: on a fault-free plan the commutative semantic
-/// checksum is byte-identical across the DES and the reactor at 1, 2 and
-/// 4 pumps.
+/// checksum is byte-identical across the DES and the reactor.
 #[test]
 fn semantic_checksum_agrees_across_backends_and_pump_counts() {
     let w = Workload::quicksort(16, 9);
     let mut golden = None;
-    for (backend, threads) in SCHEDULERS {
-        let mut cfg = flat_cfg(4, threads);
+    for backend in Backend::ALL {
+        let mut cfg = flat_cfg(4);
         cfg.trace = TraceMode::Checksum;
         let (report, _) = execute(backend, cfg, &w, &FaultPlan::none());
-        assert!(report.completed, "{backend}@{threads} stalled");
-        assert!(
-            report.trace.events > 0,
-            "{backend}@{threads} traced nothing"
-        );
+        assert!(report.completed, "{backend} stalled");
+        assert!(report.trace.events > 0, "{backend} traced nothing");
         let sum = report.trace.semantic;
         match golden {
             None => golden = Some(sum),
             Some(g) => assert_eq!(
                 sum, g,
-                "{backend}@{threads}: semantic checksum {sum:#018x} != golden {g:#018x}"
+                "{backend}: semantic checksum {sum:#018x} != golden {g:#018x}"
             ),
         }
     }
@@ -207,7 +191,7 @@ fn stream_checksum_is_deterministic_per_backend() {
     let w = Workload::dcsum(0, 32);
     let plan = FaultPlan::crash_at(2, VirtualTime(2_000));
     for backend in Backend::ALL {
-        let mut cfg = flat_cfg(4, 2);
+        let mut cfg = flat_cfg(4);
         cfg.trace = TraceMode::Checksum;
         let a = execute(backend, cfg.clone(), &w, &plan).0;
         let b = execute(backend, cfg, &w, &plan).0;
@@ -227,7 +211,7 @@ fn stream_checksum_is_deterministic_per_backend() {
 #[test]
 fn ring_mode_reports_dropped_events() {
     let w = Workload::fib(10);
-    let mut cfg = flat_cfg(4, 1);
+    let mut cfg = flat_cfg(4);
     cfg.trace = TraceMode::Ring(32);
     let (report, events) = execute(Backend::Des, cfg.clone(), &w, &FaultPlan::none());
     assert!(report.completed);
