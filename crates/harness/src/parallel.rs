@@ -3,9 +3,9 @@
 //! A [`Pump`] is a cooperative reactor over every engine of the machine
 //! ([`PumpSubstrate`]: per-engine mailboxes, a ready queue with waker
 //! flags, [`TimerWheel`]s for engine timers and delayed sends) — so the
-//! engine count is bounded by memory, not by the OS. An engine's driver
-//! loop is built only when the engine first has to act; until then its
-//! slot holds just its placer.
+//! engine count is bounded by memory, not by the OS. An engine and its
+//! placer are built together, only when the engine first has to act;
+//! until then its slot is an empty pointer.
 //!
 //! Execution is organised as *rounds*. Within a round the pump routes the
 //! front-end's injected sends, applies the round's faults, fires due
@@ -382,52 +382,53 @@ pub struct PumpHarvest {
     pub tracer: Tracer,
 }
 
-/// One engine slot.
-enum Cell {
-    /// Not stimulated yet: only the placer its engine will be built with
-    /// (taken when the engine is built). A driver loop is 1 216 B, and in
-    /// a large fleet most engines never receive a message.
-    Pending(Option<Box<dyn Placer>>),
-    /// Built. Boxed so a slot stays small.
-    Live(Box<DriverLoop>),
-}
-
-/// The engine slots, indexed by engine id, and what it takes to build a
-/// pending one.
+/// The engine slots, indexed by engine id, and what it takes to build an
+/// engine.
 struct Cells {
-    slots: Vec<Cell>,
+    /// `None` until the engine is built. A driver loop is 1 216 B, and in
+    /// a large fleet most engines never receive a message: an unbuilt slot
+    /// costs one pointer and its placer does not exist yet. Boxed so a
+    /// slot stays small.
+    slots: Vec<Option<Box<DriverLoop>>>,
+    /// Builds engine `p`'s placer: when the engine is built, and, with
+    /// load beacons on, once per engine in the first round to ask whether
+    /// its start arms a beacon.
+    placer: Box<dyn Fn(ProcId) -> Box<dyn Placer> + Send>,
     program: Arc<Program>,
     config: Config,
 }
 
 impl Cells {
-    /// The driver loop of engine `p`, built from its placer on first use.
+    /// The driver loop of engine `p`, built with its placer on first use.
     /// Building late is invisible: an engine's state depends only on the
-    /// inputs it has received, and a pending engine has received none.
+    /// inputs it has received, an unbuilt engine has received none, and a
+    /// placer's state starts from its id alone.
     fn materialize(&mut self, p: ProcId) -> &mut DriverLoop {
-        let slot = &mut self.slots[p.0 as usize];
-        if let Cell::Pending(placer) = slot {
-            let placer = placer.take().expect("a pending slot holds its placer");
-            *slot = Cell::Live(Box::new(DriverLoop::new(
-                p,
-                self.program.clone(),
-                self.config.clone(),
-                placer,
-            )));
+        if self.slots[p.0 as usize].is_none() {
+            let placer = (self.placer)(p);
+            return self.build(p, placer);
         }
-        match slot {
-            Cell::Live(node) => node,
-            Cell::Pending(_) => unreachable!("engine was just built"),
-        }
+        self.slots[p.0 as usize]
+            .as_deref_mut()
+            .expect("engine is built")
+    }
+
+    /// Builds engine `p` around `placer`.
+    fn build(&mut self, p: ProcId, placer: Box<dyn Placer>) -> &mut DriverLoop {
+        self.slots[p.0 as usize].insert(Box::new(DriverLoop::new(
+            p,
+            self.program.clone(),
+            self.config.clone(),
+            placer,
+        )))
     }
 }
 
 /// The reactor pump: every engine, their substrate stack, and the round
 /// loop that drives them.
 pub struct Pump {
-    /// The engines, built lazily: a slot holds only its placer until the
-    /// engine first has to act (a message, a bounce, or a start that arms
-    /// a load beacon).
+    /// The engines, built lazily with their placers when they first have
+    /// to act (a message, a bounce, or a start that arms a load beacon).
     cells: Cells,
     sub: PumpStack,
     /// False until the first round has started the engines.
@@ -435,15 +436,16 @@ pub struct Pump {
 }
 
 impl Pump {
-    /// Builds a pump over one engine per placer in `placers` (engine `p`
-    /// is `placers[p]`), each to be built on first use from its placer,
-    /// `program` and `config`, with the standard decorator stack
+    /// Builds a pump over one engine per member of `cluster`, each built
+    /// on first use from `program`, `config` and its placer
+    /// `placer(p)`, with the standard decorator stack
     /// (`map`/`router_latency` for the shard router, `batch_window` for
-    /// the bus) over the pump substrate.
+    /// the bus) over the pump substrate. No engine and no placer is built
+    /// here.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cluster: Arc<ClusterMap>,
-        placers: Vec<Box<dyn Placer>>,
+        placer: Box<dyn Fn(ProcId) -> Box<dyn Placer> + Send>,
         program: Arc<Program>,
         config: Config,
         map: ShardMap,
@@ -451,13 +453,10 @@ impl Pump {
         batch_window: u64,
         trace: TraceMode,
     ) -> Pump {
-        assert_eq!(placers.len(), cluster.n() as usize, "one placer per engine");
         Pump {
             cells: Cells {
-                slots: placers
-                    .into_iter()
-                    .map(|p| Cell::Pending(Some(p)))
-                    .collect(),
+                slots: (0..cluster.n()).map(|_| None).collect(),
+                placer,
                 program,
                 config,
             },
@@ -488,20 +487,20 @@ impl Pump {
         if !self.started {
             self.started = true;
             // Only an engine whose start arms a load beacon is built now;
-            // every other start would emit nothing, so its engine waits
-            // for its first input.
-            for p in 0..self.cells.slots.len() {
-                let Cell::Pending(Some(placer)) = &self.cells.slots[p] else {
-                    continue;
-                };
-                if !beacons_on_start(&self.cells.config, &**placer) {
-                    continue;
-                }
-                let p = ProcId(p as u32);
-                let node = self.cells.materialize(p);
-                node.start(&mut self.sub);
-                if node.has_ready() || self.sub.mail_len(p) > 0 {
-                    self.sub.wake(p);
+            // every other start would emit nothing, so its engine (and
+            // placer) waits for its first input. Without beacons no start
+            // can emit, and no placer is built to ask.
+            if self.cells.config.load_beacon_period > 0 {
+                for p in (0..self.cells.slots.len() as u32).map(ProcId) {
+                    let placer = (self.cells.placer)(p);
+                    if !beacons_on_start(&self.cells.config, &*placer) {
+                        continue;
+                    }
+                    let node = self.cells.build(p, placer);
+                    node.start(&mut self.sub);
+                    if node.has_ready() || self.sub.mail_len(p) > 0 {
+                        self.sub.wake(p);
+                    }
                 }
             }
         }
@@ -593,10 +592,7 @@ impl Pump {
                 .slots
                 .into_iter()
                 .enumerate()
-                .filter_map(|(p, slot)| match slot {
-                    Cell::Live(node) => Some((p as u32, node)),
-                    Cell::Pending(_) => None,
-                })
+                .filter_map(|(p, slot)| Some((p as u32, slot?)))
                 .collect(),
             delivered,
             dropped_to_dead,
@@ -611,6 +607,7 @@ impl Pump {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn cluster_map_tracks_liveness_and_corruption() {
@@ -801,23 +798,34 @@ mod tests {
         assert_eq!(sub.pop_ready(), None);
     }
 
-    /// A pump over `n` engines, each built on first use from `placer(p)`,
-    /// running fib(5) under `beacon_period`.
-    fn lazy_pump(n: u32, beacon_period: u64, placer: impl Fn(ProcId) -> Box<dyn Placer>) -> Pump {
+    /// A pump over `n` engines, each built on first use with `placer(p)`,
+    /// running fib(5) under `beacon_period`, and the count of placers
+    /// built so far.
+    fn lazy_pump(
+        n: u32,
+        beacon_period: u64,
+        placer: impl Fn(ProcId) -> Box<dyn Placer> + Send + 'static,
+    ) -> (Pump, Arc<AtomicUsize>) {
         let config = Config {
             load_beacon_period: beacon_period,
             ..Config::default()
         };
-        Pump::new(
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = calls.clone();
+        let pump = Pump::new(
             Arc::new(ClusterMap::new(n, true)),
-            (0..n).map(|p| placer(ProcId(p))).collect(),
+            Box::new(move |p| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                placer(p)
+            }),
             Arc::new(splice_applicative::Workload::fib(5).program),
             config,
             ShardMap::new(1, n),
             0,
             0,
             TraceMode::Off,
-        )
+        );
+        (pump, calls)
     }
 
     fn round(pump: &mut Pump, mut inject: Vec<Delivery>) {
@@ -834,9 +842,11 @@ mod tests {
         use splice_gradient::{GradientConfig, GradientPlacer};
         let n = 16;
         // Round-robin without beacons: a start emits nothing, so only the
-        // two engines that receive a message are ever built.
+        // two engines that receive a message are ever built, and only
+        // their placers.
         let all: Arc<[ProcId]> = (0..n).map(ProcId).collect();
-        let mut pump = lazy_pump(n, 0, |_| Box::new(RoundRobinPlacer::new(all.clone())));
+        let (mut pump, placers) =
+            lazy_pump(n, 0, move |_| Box::new(RoundRobinPlacer::new(all.clone())));
         let probe = |to| Delivery {
             from: ProcId::SUPER_ROOT,
             to: ProcId(to),
@@ -844,14 +854,25 @@ mod tests {
         };
         round(&mut pump, vec![probe(3), probe(11)]);
         round(&mut pump, Vec::new());
+        assert_eq!(
+            placers.load(Ordering::Relaxed),
+            2,
+            "one placer per built engine"
+        );
         assert_eq!(built(pump), vec![3, 11]);
         // Gradient with beacons: every start arms a beacon, so every
-        // engine is built in the first round, input or not.
-        let mut pump = lazy_pump(n, 20, |p| {
+        // engine is built in the first round, input or not, each with the
+        // placer its beacon check built.
+        let (mut pump, placers) = lazy_pump(n, 20, move |p| {
             let ring = vec![ProcId((p.0 + n - 1) % n), ProcId((p.0 + 1) % n)];
             Box::new(GradientPlacer::new(p, ring, GradientConfig::default()))
         });
         round(&mut pump, Vec::new());
+        assert_eq!(
+            placers.load(Ordering::Relaxed),
+            n as usize,
+            "one placer per engine"
+        );
         assert_eq!(built(pump), (0..n).collect::<Vec<_>>());
     }
 

@@ -33,7 +33,7 @@ impl EngineSnapshot {
 
 /// Aggregate of every engine's snapshot — the common core of both
 /// machines' run reports.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineTotals {
     /// Sum of all processors' statistics.
     pub stats: ProcStats,
@@ -56,13 +56,38 @@ impl EngineTotals {
             ..EngineTotals::default()
         };
         for snap in snapshots {
-            totals.stats += &snap.stats;
-            totals.per_proc.push(snap.stats);
-            totals.ckpt_peak_entries += snap.ckpt_peak_entries;
-            totals.ckpt_peak_bytes += snap.ckpt_peak_bytes;
-            totals.ckpt_stored += snap.ckpt_stored;
+            let stats = totals.add(snap);
+            totals.per_proc.push(stats);
         }
         totals
+    }
+
+    /// Aggregates `n` processors of which only some have a snapshot,
+    /// given as `(processor, snapshot)`. Every other processor is a fresh
+    /// engine: its `per_proc` entry is the default and it adds nothing,
+    /// so the result equals [`EngineTotals::collect`] over all `n` with
+    /// default snapshots filled in, without summing the defaults.
+    pub fn collect_built<I: IntoIterator<Item = (usize, EngineSnapshot)>>(
+        n: usize,
+        built: I,
+    ) -> EngineTotals {
+        let mut totals = EngineTotals {
+            per_proc: vec![ProcStats::default(); n],
+            ..EngineTotals::default()
+        };
+        for (p, snap) in built {
+            totals.per_proc[p] = totals.add(snap);
+        }
+        totals
+    }
+
+    /// Adds `snap` to the sums and returns its statistics for `per_proc`.
+    fn add(&mut self, snap: EngineSnapshot) -> ProcStats {
+        self.stats += &snap.stats;
+        self.ckpt_peak_entries += snap.ckpt_peak_entries;
+        self.ckpt_peak_bytes += snap.ckpt_peak_bytes;
+        self.ckpt_stored += snap.ckpt_stored;
+        snap.stats
     }
 }
 
@@ -106,6 +131,37 @@ mod tests {
             Box::new(SelfPlacer { here }),
         );
         assert_eq!(EngineSnapshot::of(&fresh), EngineSnapshot::default());
+    }
+
+    /// Summing only the built engines is summing every engine with the
+    /// unbuilt ones at their default snapshot.
+    #[test]
+    fn summing_the_built_engines_equals_summing_every_engine() {
+        let snap = |p: u64| {
+            let mut s = EngineSnapshot::default();
+            s.stats.tasks_completed = p;
+            s.stats.waves_run = 2 * p + 1;
+            s.ckpt_peak_entries = p as usize;
+            s.ckpt_peak_bytes = 3 * p as usize;
+            s.ckpt_stored = p + 5;
+            s
+        };
+        let built = [1usize, 4, 5, 9];
+        let every = EngineTotals::collect((0..12).map(|p| {
+            if built.contains(&p) {
+                snap(p as u64)
+            } else {
+                EngineSnapshot::default()
+            }
+        }));
+        let sparse = EngineTotals::collect_built(12, built.map(|p| (p, snap(p as u64))));
+        assert_eq!(sparse, every);
+        assert_eq!(sparse.per_proc.len(), 12);
+        assert_eq!(sparse.stats.tasks_completed, 19);
+        assert_eq!(
+            EngineTotals::collect_built(3, []),
+            EngineTotals::collect(vec![EngineSnapshot::default(); 3])
+        );
     }
 
     #[test]

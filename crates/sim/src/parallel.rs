@@ -29,11 +29,18 @@
 //! and fault plans written in virtual time land mid-run with the same
 //! granularity as on the other backends.
 //!
-//! **Lazy engines.** Construction builds one placer per engine, not one
-//! engine: the pump builds an engine's driver loop when the engine first
-//! has to act (its first input, or a start that arms a load beacon). In a
-//! large fleet most engines never hear from anyone and never cost more
-//! than their placer; the report counts them as fresh engines.
+//! **Lazy engines.** Construction builds no engine and no placer: the
+//! pump builds an engine's driver loop, and its placer with it, when the
+//! engine first has to act (its first input, or a start that arms a load
+//! beacon; with beacons on, the first round builds every placer in roster
+//! order to ask). In a large fleet most engines never hear from anyone and
+//! cost one empty slot.
+//!
+//! **Report assembly.** The report sums the snapshots of the engines the
+//! pump built, in id order. Every other engine never received an input,
+//! so its snapshot is a fresh engine's, which is the default one: its
+//! `per_proc` entry is `ProcStats::default()` and it adds nothing to the
+//! totals (`EngineTotals::collect_built`).
 
 use crate::machine::MachineConfig;
 use crate::report::{RunCounters, RunReport};
@@ -41,7 +48,6 @@ use splice_applicative::{Program, Workload};
 use splice_core::engine::Timer;
 use splice_core::ids::ProcId;
 use splice_core::packet::Msg;
-use splice_core::place::Placer;
 use splice_core::sink::ActionSink;
 use splice_harness::{
     ClusterMap, Delivery, EngineSnapshot, EngineTotals, Pump, ShardMap, Substrate, SuperRootDriver,
@@ -112,32 +118,18 @@ pub struct ParallelReactorMachine {
 impl ParallelReactorMachine {
     /// Builds a reactor machine for `workload`; `cfg.threads` is ignored.
     pub fn new(cfg: MachineConfig, workload: &Workload) -> ParallelReactorMachine {
-        let topo = cfg.topology.clone();
-        let policy = cfg.policy;
-        let seed = cfg.seed;
-        // One shared roster for every per-engine placer: per-placer roster
-        // copies would make an n-engine build O(n^2) memory.
-        let all: Arc<[ProcId]> = (0..topo.len()).map(ProcId).collect();
-        ParallelReactorMachine::with_placer_factory(cfg, workload, |p| {
-            policy.build_shared(p, &topo, seed, &all)
-        })
-    }
-
-    /// Builds a reactor machine with custom placers.
-    pub fn with_placer_factory(
-        cfg: MachineConfig,
-        workload: &Workload,
-        factory: impl FnMut(ProcId) -> Box<dyn Placer>,
-    ) -> ParallelReactorMachine {
         let n = cfg.topology.len();
         assert!(n >= 1, "need at least one processor");
         let program = Arc::new(workload.program.clone());
         let cluster = Arc::new(ClusterMap::new(n, cfg.detector.broadcast));
-        // Placers are built here, in roster order; the engines themselves
-        // are built by the pump when they first have to act.
+        // One shared roster for every per-engine placer: per-placer roster
+        // copies would make an n-engine build O(n^2) memory. The pump
+        // builds each placer with its engine.
+        let all: Arc<[ProcId]> = (0..n).map(ProcId).collect();
+        let (topo, policy, seed) = (cfg.topology.clone(), cfg.policy, cfg.seed);
         let pump = Pump::new(
             cluster.clone(),
-            (0..n).map(ProcId).map(factory).collect(),
+            Box::new(move |p| policy.build_shared(p, &topo, seed, &all)),
             program.clone(),
             cfg.engine_recovery(),
             ShardMap::new(cfg.topology.shard_count(), cfg.topology.per_shard()),
@@ -353,12 +345,12 @@ impl ParallelReactorMachine {
         trace_events.extend(tracer.absorb(h.tracer));
         // An engine the pump never built never received an input: its
         // snapshot is a fresh engine's, which is the default one.
-        let mut built = h.engines.iter().peekable();
-        let snapshots = (0..cluster.n()).map(|p| match built.next_if(|(q, _)| *q == p) {
-            Some((_, node)) => EngineSnapshot::of(node.engine()),
-            None => EngineSnapshot::default(),
-        });
-        let totals = EngineTotals::collect(snapshots);
+        let totals = EngineTotals::collect_built(
+            cluster.n() as usize,
+            h.engines
+                .iter()
+                .map(|(p, node)| (*p as usize, EngineSnapshot::of(node.engine()))),
+        );
         let mut report = RunReport::assemble(
             RunCounters {
                 finish,

@@ -243,4 +243,27 @@ fn steady_state_pump_stays_under_allocation_ceiling() {
         "parallel-reactor steady-state pump allocated {parallel_allocs} \
          times (ceiling {REACTOR_CEILING}); a hot-path allocation crept in"
     );
+
+    // A mostly idle fleet costs what its work costs: fib(14) on 16 384
+    // round-robin engines without beacons acts on 80 of them, and the
+    // reactor builds an engine and its placer only on first use and sums
+    // the report over the engines it built. Construction counts here,
+    // since that is where a fleet's idle engines used to cost: 26 529
+    // allocations when every placer was built up front, 10 231 now.
+    const FLEET_CEILING: u64 = 12_000;
+    let w = Workload::fib(14);
+    let (report, fleet_allocs, _) = counted(|| {
+        let mut cfg = MachineConfig::new(16_384);
+        cfg.policy = splice::gradient::Policy::RoundRobin;
+        cfg.recovery.load_beacon_period = 0;
+        splice::sim::parallel::ParallelReactorMachine::new(cfg, &w).run(&FaultPlan::none())
+    });
+    assert!(report.completed, "fleet run must complete");
+    assert_eq!(report.result, Some(w.reference_result().unwrap()));
+    assert_eq!(report.per_proc.len(), 16_384);
+    assert!(
+        fleet_allocs < FLEET_CEILING,
+        "16 384-engine fleet allocated {fleet_allocs} times to build and run \
+         (ceiling {FLEET_CEILING}); idle engines are being built"
+    );
 }
